@@ -41,6 +41,7 @@ from .curve import (
     aoc,
     aoc_brute_force,
     default_shift_grid,
+    distinct_mask,
     is_convex,
     normalized_curve,
     rroc_curve,
@@ -72,7 +73,7 @@ __all__ = [
     "error_vector", "over_under", "metrics", "asymmetric_loss", "total_loss",
     "RrocCurve", "VertexPoint", "SegmentSlope",
     "rroc_curve", "segment_slopes", "segment_alpha", "aoc", "aoc_brute_force",
-    "default_shift_grid", "normalized_curve", "is_convex",
+    "default_shift_grid", "distinct_mask", "normalized_curve", "is_convex",
     "Isometric", "HybridSegment", "HullPoint", "ConvexHull",
     "DominanceRegion", "DominanceMap",
     "isometric_through", "best_point_for_alpha", "best_vertex_for_alpha",

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .core import (
     OVER_EXTREME,
     UNDER_EXTREME,
@@ -24,7 +26,7 @@ from .core import (
     _alpha_of,
     total_loss,
 )
-from .curve import RrocCurve, VertexPoint
+from .curve import RrocCurve, VertexPoint, distinct_mask
 from .errors import DataError
 
 __all__ = [
@@ -91,13 +93,19 @@ def best_vertex_for_alpha(
 ) -> Tuple[VertexPoint, float]:
     """The curve vertex of minimum total loss at asymmetry alpha.
 
-    Scans the interior vertices; the winner is always the vertex whose two
-    adjacent segment slopes bracket (1-alpha)/alpha. At alpha = 0 that is the
-    first vertex (OVER = 0), at alpha = 1 the last (UNDER = 0).
+    Scans the interior vertices with the tie-break of ``best_point_for_alpha``;
+    the winner is always the vertex whose two adjacent segment slopes bracket
+    (1-alpha)/alpha. At alpha = 0 that is the first vertex (OVER = 0), at
+    alpha = 1 the last (UNDER = 0).
     """
     a = _alpha_of(oc)
-    best = min(curve.interior, key=lambda v: _selection_key(v, total_loss(RrocPoint(v.over, v.under), a)))
-    return best, total_loss(RrocPoint(best.over, best.under), a)
+    ov, un = curve.over, curve.under
+    # Same terms as total_loss, one per vertex.
+    under_term = 0.0 if a == 0.0 else -2.0 * a * un
+    over_term = 0.0 if a == 1.0 else 2.0 * (1.0 - a) * ov
+    loss = under_term + over_term
+    best = int(np.lexsort((np.abs(un), ov, loss))[0])
+    return curve.interior[best], float(loss[best])
 
 
 @dataclass(frozen=True)
@@ -174,65 +182,74 @@ class ConvexHull:
 HullInput = Union[RrocPoint, RrocCurve]
 
 
-def _candidate_points(inputs: Dict[str, HullInput]) -> List[HullPoint]:
-    cands: List[HullPoint] = []
-    for model_id in sorted(inputs):
+def _candidates(inputs: Dict[str, HullInput]):
+    """Every hull candidate as (model ids, over, under, model rank, vertex index).
+
+    Ranks index the sorted model ids. Vertex indices count a curve's distinct
+    interior vertices; they are -1 for point inputs.
+    """
+    model_ids = sorted(inputs)
+    overs, unders, ranks, indices = [], [], [], []
+    for rank, model_id in enumerate(model_ids):
         item = inputs[model_id]
         if isinstance(item, RrocPoint):
             if not item.is_finite:
                 raise DataError(f"input point for {model_id!r} must be finite")
-            cands.append(HullPoint(item, model_id, None))
+            ov, un, index = np.array([item.over]), np.array([item.under]), np.array([-1])
         elif isinstance(item, RrocCurve):
-            for k, v in enumerate(item.distinct_vertices()):
-                cands.append(HullPoint(RrocPoint(v.over, v.under), model_id, k))
+            keep = distinct_mask(item.over, item.under)
+            ov, un = item.over[keep], item.under[keep]
+            index = np.arange(ov.size)
         else:
             raise DataError(f"unsupported hull input for {model_id!r}: {type(item).__name__}")
-    return cands
-
-
-def _pareto_frontier(cands: List[HullPoint]) -> List[HullPoint]:
-    """Drop weakly dominated candidates (another point with <= over and >= under).
-
-    Dominated points can only sit on the closed boundary via the extreme
-    rays; they are never loss-optimal, and pruning them first keeps the hull
-    scan free of degenerate vertical/horizontal runs.
-    """
-    cands = sorted(cands, key=lambda hp: (hp.point.over, -hp.point.under, hp.model_id or ""))
-    out: List[HullPoint] = []
-    best_under = -math.inf
-    for hp in cands:
-        if hp.point.under > best_under:
-            out.append(hp)
-            best_under = hp.point.under
-    return out
-
-
-def _turns_left(o: RrocPoint, a: RrocPoint, b: RrocPoint) -> bool:
-    # Strictly counterclockwise o->a->b means a lies below the chord o-b.
-    t1 = (a.over - o.over) * (b.under - o.under)
-    t2 = (a.under - o.under) * (b.over - o.over)
-    return (t1 - t2) > COLLINEAR_EPS * max(abs(t1), abs(t2), 1e-300)
+        overs.append(ov)
+        unders.append(un)
+        ranks.append(np.full(ov.size, rank))
+        indices.append(index)
+    return (model_ids, np.concatenate(overs), np.concatenate(unders),
+            np.concatenate(ranks), np.concatenate(indices))
 
 
 def convex_hull(inputs: Dict[str, HullInput]) -> ConvexHull:
     """Convex hull of a set of RROC points and/or curves, extremes included.
 
-    Monotone-chain scan over the non-dominated candidates sorted by OVER;
-    a candidate already on the chain is removed when it falls strictly below
-    the chord to the incoming point (relative epsilon ``COLLINEAR_EPS``), so
-    exactly-collinear frontier points survive. The symbolic extremes are
-    spliced on afterwards as the half-infinite rays.
+    Weakly dominated candidates (another point with <= over and >= under) are
+    dropped first: they are never loss-optimal, and pruning them keeps the
+    hull scan free of degenerate vertical/horizontal runs. Candidates sorted
+    by (over, -under, model id) survive when their under beats every earlier
+    one. A monotone-chain scan over the survivors then removes a point already
+    on the chain when it falls strictly below the chord to the incoming point
+    (relative epsilon ``COLLINEAR_EPS``), so exactly-collinear frontier points
+    survive. The symbolic extremes are spliced on afterwards as the
+    half-infinite rays.
     """
     if not inputs:
         raise DataError("need at least one point or curve")
-    frontier = _pareto_frontier(_candidate_points(inputs))
-    chain: List[HullPoint] = []
-    for hp in frontier:
-        while len(chain) >= 2 and _turns_left(chain[-2].point, chain[-1].point, hp.point):
+    model_ids, ov, un, rank, index = _candidates(inputs)
+    order = np.lexsort((rank, -un, ov))
+    un_sorted = un[order]
+    best_before = np.maximum.accumulate(np.concatenate(([-math.inf], un_sorted[:-1])))
+    survivors = order[un_sorted > best_before]
+    xs, ys = ov[survivors].tolist(), un[survivors].tolist()
+
+    chain: List[int] = []
+    for j, (bx, by) in enumerate(zip(xs, ys)):
+        while len(chain) >= 2:
+            o, a = chain[-2], chain[-1]
+            # Strictly counterclockwise o->a->b means a lies below the chord o-b.
+            t1 = (xs[a] - xs[o]) * (by - ys[o])
+            t2 = (ys[a] - ys[o]) * (bx - xs[o])
+            if not (t1 - t2) > COLLINEAR_EPS * max(abs(t1), abs(t2), 1e-300):
+                break
             chain.pop()
-        chain.append(hp)
-    points = (HullPoint(UNDER_EXTREME, None, None), *chain, HullPoint(OVER_EXTREME, None, None))
-    return ConvexHull(points=points)
+        chain.append(j)
+
+    picked = survivors[chain]
+    points = [HullPoint(UNDER_EXTREME, None, None)]
+    for j, r, k in zip(chain, rank[picked].tolist(), index[picked].tolist()):
+        points.append(HullPoint(RrocPoint(xs[j], ys[j]), model_ids[r], None if k < 0 else k))
+    points.append(HullPoint(OVER_EXTREME, None, None))
+    return ConvexHull(points=tuple(points))
 
 
 @dataclass(frozen=True)
@@ -270,21 +287,26 @@ class DominanceMap:
         raise DataError(f"no dominance region covers alpha={a!r}")
 
 
-def dominance_map(inputs: Dict[str, HullInput]) -> DominanceMap:
+def dominance_map(inputs: Union[ConvexHull, Dict[str, HullInput]]) -> DominanceMap:
     """Label each alpha interval with the hull point (and model) optimal there.
 
-    Interval boundaries are the crossover alphas of consecutive hull
-    segments: segment slopes decrease along the hull, so their alphas
-    1/(1+slope) increase. Collinear hull points produce empty intervals,
-    which are dropped (they are optimal only at the single shared alpha,
-    where the tie-break prefers the lower-OVER point).
+    ``inputs`` is a hull already built by ``convex_hull``, or the points
+    and/or curves to build it from. Interval boundaries are the crossover
+    alphas 1/(1+slope) of consecutive hull segments (see ``hybrid_segment``):
+    segment slopes decrease along the hull, so their alphas increase.
+    Collinear hull points produce empty intervals, which are dropped (they are
+    optimal only at the single shared alpha, where the tie-break prefers the
+    lower-OVER point).
     """
-    hull = convex_hull(inputs)
+    hull = inputs if isinstance(inputs, ConvexHull) else convex_hull(inputs)
     finite = hull.finite_points
+    ov = np.array([hp.point.over for hp in finite])
+    un = np.array([hp.point.under for hp in finite])
+    # Hull overs strictly increase, so no segment is vertical.
+    crossovers = (1.0 / (1.0 + np.diff(un) / np.diff(ov))).tolist()
     regions: List[DominanceRegion] = []
     low = 0.0
-    for hp, nxt in zip(finite, finite[1:]):
-        high = hybrid_segment(hp.point, nxt.point).crossover_alpha
+    for hp, high in zip(finite, crossovers):
         if high > low or not regions:
             regions.append(DominanceRegion(low, high, hp.model_id, hp.point))
             low = high

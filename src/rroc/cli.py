@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -80,12 +81,36 @@ def _cmd_analyze(args) -> int:
         payloads.append((config.json_path, report.to_json()))
     if config.svg_path:
         payloads.append((config.svg_path, render_svg(report)))
-    for path, text in payloads:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_all(payloads)
     if not payloads:
         sys.stdout.write(report.to_json())
     return EXIT_OK
+
+
+def _write_all(payloads) -> None:
+    """Write (path, text) pairs so that either all targets appear or none.
+
+    Each text goes to a temp file beside its target; the temp files are moved
+    into place only once every one of them is written, and any left over after
+    a failure are removed.
+    """
+    staged = []
+    try:
+        for path, text in payloads:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                fh = open(tmp, "w", encoding="utf-8")
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            staged.append(tmp)
+            with fh:
+                fh.write(text)
+        for tmp, (path, _) in zip(staged, payloads):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _cmd_synth(args) -> int:

@@ -17,7 +17,8 @@ the single place the two conventions meet and they agree numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,7 +28,9 @@ from .errors import DataError
 
 __all__ = [
     "VertexPoint",
+    "VertexSequence",
     "RrocCurve",
+    "distinct_mask",
     "SegmentSlope",
     "rroc_curve",
     "segment_slopes",
@@ -62,55 +65,159 @@ class VertexPoint:
         return math.isfinite(self.over) and math.isfinite(self.under)
 
 
-@dataclass(frozen=True)
+class VertexSequence(Sequence):
+    """Read-only view of a curve's vertices as VertexPoint objects.
+
+    ``len()`` reads the array length; a VertexPoint is built only for the
+    vertex asked for, and slicing returns a tuple of them.
+    """
+
+    __slots__ = ("_curve", "_extremes")
+
+    def __init__(self, curve: "RrocCurve", extremes: bool):
+        self._curve = curve
+        self._extremes = extremes
+
+    def __len__(self) -> int:
+        return self._curve.over.size + (2 if self._extremes else 0)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        size = len(self)
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("vertex index out of range")
+        c = self._curve
+        if self._extremes:
+            if i == 0:
+                return VertexPoint(0.0, -math.inf, -math.inf, 0, c.n)
+            if i == size - 1:
+                return VertexPoint(math.inf, 0.0, math.inf, c.n, 0)
+            i -= 1
+        return VertexPoint(
+            float(c.over[i]), float(c.under[i]), float(c.shift[i]), int(c.n_over[i]), int(c.n_under[i])
+        )
+
+
 class RrocCurve:
-    """Ordered vertices of a shift-swept model, extremes included."""
+    """Ordered vertices of a shift-swept model.
 
-    vertices: tuple
-    n: int
-    model_id: Optional[str] = None
-    normalized: bool = False
+    The interior vertices are stored as columns in sweep order: float arrays
+    ``over``, ``under`` and ``shift`` and int arrays ``n_over`` and
+    ``n_under``. The two extremes (0, -inf) and (inf, 0) are implied.
+    ``RrocCurve(vertices=..., n=...)`` builds a curve from VertexPoint
+    objects, extremes included; ``from_arrays`` takes the columns directly.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DataError("curve needs n >= 1 examples")
-        if len(self.vertices) < 3:
+    __slots__ = ("over", "under", "shift", "n_over", "n_under", "n", "model_id", "normalized")
+
+    def __init__(self, vertices, n: int, model_id: Optional[str] = None, normalized: bool = False):
+        vertices = tuple(vertices)
+        if len(vertices) < 3:
             raise DataError("curve needs the two extremes plus interior vertices")
-        first, last = self.vertices[0], self.vertices[-1]
+        first, last = vertices[0], vertices[-1]
         if not (first.over == 0.0 and math.isinf(first.under)):
             raise DataError("first vertex must be the (0, -inf) extreme")
         if not (math.isinf(last.over) and last.under == 0.0):
             raise DataError("last vertex must be the (inf, 0) extreme")
+        interior = vertices[1:-1]
+        self._init(
+            np.array([v.over for v in interior], dtype=float),
+            np.array([v.under for v in interior], dtype=float),
+            np.array([v.shift for v in interior], dtype=float),
+            np.array([v.n_over for v in interior], dtype=np.int64),
+            np.array([v.n_under for v in interior], dtype=np.int64),
+            n, model_id, normalized,
+        )
+
+    @classmethod
+    def from_arrays(cls, over, under, shift, n_over, n_under, n: int,
+                    model_id: Optional[str] = None, normalized: bool = False) -> "RrocCurve":
+        """A curve from its interior columns; the arrays are kept, not copied."""
+        curve = cls.__new__(cls)
+        curve._init(over, under, shift, n_over, n_under, n, model_id, normalized)
+        return curve
+
+    def _init(self, over, under, shift, n_over, n_under, n, model_id, normalized):
+        if n < 1:
+            raise DataError("curve needs n >= 1 examples")
+        for name, column in (("over", over), ("under", under), ("shift", shift),
+                             ("n_over", n_over), ("n_under", n_under)):
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self.n = n
+        self.model_id = model_id
+        self.normalized = normalized
 
     @property
-    def interior(self) -> tuple:
+    def vertices(self) -> VertexSequence:
+        """All n + 2 vertices, extremes included."""
+        return VertexSequence(self, extremes=True)
+
+    @property
+    def interior(self) -> VertexSequence:
         """The finite vertices, in sweep order."""
-        return self.vertices[1:-1]
+        return VertexSequence(self, extremes=False)
 
     def interior_arrays(self):
-        """(overs, unders) of the interior vertices as float arrays."""
-        ov = np.array([v.over for v in self.interior])
-        un = np.array([v.under for v in self.interior])
-        return ov, un
+        """(overs, unders) of the interior vertices as read-only float arrays."""
+        return self.over, self.under
 
     def distinct_vertices(self) -> tuple:
         """Interior vertices with coincident (tied-error) runs collapsed.
 
         Ties in the error vector make consecutive vertices coincide; this is
-        the deduplicated view used for plotting and counting visible points.
-        Coincidence is judged at 1e-12 of the curve's coordinate scale, so
-        ties survive the float noise of computing errors by subtraction. The
-        first vertex of each run is kept.
+        the deduplicated view used for plotting and counting visible points
+        (see ``distinct_mask``).
         """
-        finite = [v for v in self.interior if v.is_finite]
-        scale = max((max(v.over, -v.under) for v in finite), default=0.0)
-        tol = 1e-12 * scale
-        out = []
-        for v in self.interior:
-            if out and abs(v.over - out[-1].over) <= tol and abs(v.under - out[-1].under) <= tol:
-                continue
-            out.append(v)
-        return tuple(out)
+        interior = self.interior
+        return tuple(interior[i] for i in np.flatnonzero(distinct_mask(self.over, self.under)).tolist())
+
+
+def distinct_mask(over, under) -> np.ndarray:
+    """Mask of the vertices kept when coincident runs of a curve collapse.
+
+    Two vertices coincide when both coordinates differ by at most 1e-12 of
+    the curve's coordinate scale (the largest ``max(over, -under)`` over the
+    finite vertices), so ties survive the float noise of computing errors by
+    subtraction. The first vertex of each run is kept, and each vertex is
+    compared with the last kept vertex, not with its neighbour.
+    """
+    over = np.asarray(over, dtype=float)
+    under = np.asarray(under, dtype=float)
+    keep = np.ones(over.size, dtype=bool)
+    if over.size < 2:
+        return keep
+    finite = np.isfinite(over) & np.isfinite(under)
+    scale = float(np.maximum(over[finite], -under[finite]).max()) if finite.any() else 0.0
+    tol = 1e-12 * scale
+    d_over, d_under = np.diff(over), np.diff(under)
+    # A vertex equal to its neighbour is never kept: the neighbour is the last
+    # kept vertex or within tol of it. Along a curve whose coordinates never
+    # decrease, a vertex more than tol from its neighbour is more than tol from
+    # every earlier vertex, so it is kept. Only the rest needs the last kept
+    # vertex, found one vertex at a time.
+    equal = (d_over == 0.0) & (d_under == 0.0)
+    keep[1:] = ~equal
+    if np.all(d_over >= 0.0) and np.all(d_under >= 0.0):
+        unsettled = ~equal & (d_over <= tol) & (d_under <= tol)
+    else:
+        unsettled = ~equal
+    pending = np.flatnonzero(unsettled) + 1
+    if pending.size:
+        keep[pending] = False
+        index = np.arange(over.size)
+        last_settled = np.maximum.accumulate(np.where(keep, index, 0))
+        last = -1
+        ov, un = over.tolist(), under.tolist()
+        for i in pending.tolist():
+            k = max(last, int(last_settled[i - 1]))
+            if not (abs(ov[i] - ov[k]) <= tol and abs(un[i] - un[k]) <= tol):
+                keep[i] = True
+                last = i
+    return keep
 
 
 @dataclass(frozen=True)
@@ -150,20 +257,7 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
 
     n_over = np.searchsorted(-es, -es, side="left")        # strictly larger errors
     n_under = n - np.searchsorted(-es, -es, side="right")  # strictly smaller errors
-
-    vertices = [VertexPoint(0.0, -math.inf, -math.inf, 0, n)]
-    for k in range(n):
-        vertices.append(
-            VertexPoint(
-                over=float(overs[k]),
-                under=float(unders[k]),
-                shift=float(-es[k]),
-                n_over=int(n_over[k]),
-                n_under=int(n_under[k]),
-            )
-        )
-    vertices.append(VertexPoint(math.inf, 0.0, math.inf, n, 0))
-    return RrocCurve(vertices=tuple(vertices), n=n, model_id=model_id)
+    return RrocCurve.from_arrays(overs, unders, -es, n_over, n_under, n, model_id)
 
 
 def segment_slopes(n: int) -> list:
@@ -196,10 +290,9 @@ def aoc(curve: RrocCurve) -> float:
     runs over consecutive interior vertex pairs. Equals
     ``population_variance(e) * n**2 / 2`` for the curve of ``e``.
     """
-    interior = curve.interior
-    if not interior or not all(v.is_finite for v in interior):
+    ov, un = curve.over, curve.under
+    if not ov.size or not (np.isfinite(ov).all() and np.isfinite(un).all()):
         raise DataError("AOC needs a curve with finite interior vertices")
-    ov, un = curve.interior_arrays()
     return float(np.sum(-(un[1:] + un[:-1]) / 2.0 * (ov[1:] - ov[:-1])))
 
 
@@ -250,10 +343,10 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
     ``variance / 2``. Shifts and counts are metadata and stay untouched.
     """
     n = curve.n
-    vertices = tuple(
-        replace(v, over=v.over / n, under=v.under / n) for v in curve.vertices
+    return RrocCurve.from_arrays(
+        curve.over / n, curve.under / n, curve.shift, curve.n_over, curve.n_under,
+        n, curve.model_id, normalized=True,
     )
-    return RrocCurve(vertices=vertices, n=n, model_id=curve.model_id, normalized=True)
 
 
 def is_convex(curve: RrocCurve, rel_tol: float = 1e-9) -> bool:
@@ -264,14 +357,10 @@ def is_convex(curve: RrocCurve, rel_tol: float = 1e-9) -> bool:
     lists. Coincident vertices are skipped; slope comparisons allow a small
     relative tolerance for float noise.
     """
-    pts = [(v.over, v.under) for v in curve.distinct_vertices()]
-    slopes = []
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x1 == x0:
-            slopes.append(math.inf)
-        else:
-            slopes.append((y1 - y0) / (x1 - x0))
-    for prev, cur in zip(slopes, slopes[1:]):
-        if cur > prev + rel_tol * max(abs(prev), abs(cur), 1.0):
-            return False
-    return True
+    keep = distinct_mask(curve.over, curve.under)
+    dx, dy = np.diff(curve.over[keep]), np.diff(curve.under[keep])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.where(dx == 0.0, math.inf, dy / dx)
+    prev, cur = slopes[:-1], slopes[1:]
+    bound = prev + rel_tol * np.maximum(np.maximum(np.abs(prev), np.abs(cur)), 1.0)
+    return not np.any(cur > bound)

@@ -9,6 +9,7 @@ ignored. Row order is preserved.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Dict
 
@@ -83,9 +84,21 @@ def _model_columns(header) -> Dict[str, str]:
     return columns
 
 
+def _read_text(path) -> str:
+    """The file decoded as UTF-8; undecodable bytes are a DataError naming the row."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        row = raw.count(b"\n", 0, exc.start)
+        where = f"row {row}" if row else "header"
+        raise DataError(f"{path}: {where}: invalid UTF-8 byte at offset {exc.start}") from None
+
+
 def load_predictions(path) -> Dataset:
     """Parse a predictions CSV into a Dataset."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: no rows")
@@ -100,6 +113,11 @@ def load_predictions(path) -> Dataset:
         actual = []
         predicted = {model_id: [] for model_id in columns}
         for row_number, row in enumerate(reader, start=1):
+            if None in row:
+                raise DataError(
+                    f"{path}: row {row_number}: {len(reader.fieldnames) + len(row[None])} cells "
+                    f"for {len(reader.fieldnames)} header columns"
+                )
             actual.append(_parse_cell(row, ACTUAL_COLUMN, path, row_number))
             for model_id, column in columns.items():
                 predicted[model_id].append(_parse_cell(row, column, path, row_number))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -13,9 +14,9 @@ import numpy as np
 from . import __version__
 from .analysis import best_point_for_alpha, convex_hull, dominance_map, isometric_through
 from .core import RrocPoint, metrics, over_under, total_loss
-from .curve import aoc, normalized_curve, rroc_curve
+from .curve import RrocCurve, aoc, distinct_mask, normalized_curve, rroc_curve
 from .data import Dataset, load_predictions
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .shift import NoShift, OptimalConstantShift, cost_curve, default_alpha_grid
 
 __all__ = ["OUTPUT_KINDS", "RunConfig", "EvaluationReport", "run", "error_density"]
@@ -64,9 +65,9 @@ class EvaluationReport:
     """Aggregate of metrics, curves, hull, dominance and cost curves.
 
     Serializes losslessly to strict JSON: no NaN/Infinity tokens are ever
-    emitted. Curves carry their interior vertices only and hulls their finite
-    frontier points; the symbolic extremes at (0, -inf) and (inf, 0) are
-    implied by the schema.
+    emitted, and the JSON is compact unless an indent is given. Curves carry
+    their interior vertices only and hulls their finite frontier points; the
+    symbolic extremes at (0, -inf) and (inf, 0) are implied by the schema.
     """
 
     schema_version: str
@@ -97,8 +98,10 @@ class EvaluationReport:
             out["generated_at"] = self.generated_at
         return out
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, allow_nan=False) + "\n"
+    def to_json(self, indent: Optional[int] = None) -> str:
+        """The report as strict JSON; ``indent=2`` pretty-prints it."""
+        separators = None if indent is not None else (",", ":")
+        return json.dumps(self.as_dict(), indent=indent, separators=separators, allow_nan=False) + "\n"
 
 
 def error_density(errors, points: int = 256):
@@ -126,13 +129,24 @@ def _point_dict(point: RrocPoint, scale: float = 1.0) -> dict:
     return {"over": point.over / scale, "under": point.under / scale}
 
 
-def _analyze_model(model_id: str, e: np.ndarray, config: RunConfig) -> dict:
+def _analyze_model(
+    model_id: str, e: np.ndarray, config: RunConfig
+) -> Tuple[dict, RrocPoint, RrocCurve]:
+    """The report entry of one model, with its point and curve."""
     wants = set(config.outputs)
-    m = metrics(e)
-    point = over_under(e)
-    curve = rroc_curve(e, model_id=model_id)
+    # Overflow is reported below as a data error, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = metrics(e)
+        point = over_under(e)
+        curve = rroc_curve(e, model_id=model_id)
+        area = aoc(curve)
     scale = float(e.size) if config.normalize else 1.0
 
+    aggregates = (m.mae, m.mse, m.bias, m.variance, m.mmse, point.over, point.under, area)
+    if not all(math.isfinite(x) for x in aggregates):
+        raise DataError(
+            f"model {model_id!r}: error sums overflow to non-finite values; rescale the input"
+        )
     entry: dict = {
         "metrics": {
             "mae": m.mae,
@@ -141,25 +155,20 @@ def _analyze_model(model_id: str, e: np.ndarray, config: RunConfig) -> dict:
             "variance": m.variance,
             "mmse": m.mmse,
         },
-        "aoc": aoc(curve),
-        "normalized_aoc": aoc(curve) / curve.n**2,
+        "aoc": area,
+        "normalized_aoc": area / curve.n**2,
     }
     if "points" in wants:
         entry["point"] = _point_dict(point, scale)
     if "curves" in wants:
         reported = normalized_curve(curve) if config.normalize else curve
+        columns = (reported.over, reported.under, reported.shift, reported.n_over, reported.n_under)
         entry["curve"] = {
             "normalized": reported.normalized,
-            "distinct_vertex_count": len(reported.distinct_vertices()),
+            "distinct_vertex_count": int(np.count_nonzero(distinct_mask(reported.over, reported.under))),
             "vertices": [
-                {
-                    "over": v.over,
-                    "under": v.under,
-                    "shift": v.shift,
-                    "n_over": v.n_over,
-                    "n_under": v.n_under,
-                }
-                for v in reported.interior
+                {"over": o, "under": u, "shift": s, "n_over": a, "n_under": b}
+                for o, u, s, a, b in zip(*(c.tolist() for c in columns))
             ],
         }
     if "cost" in wants:
@@ -174,9 +183,7 @@ def _analyze_model(model_id: str, e: np.ndarray, config: RunConfig) -> dict:
     if "density" in wants:
         xs, density = error_density(e)
         entry["density"] = {"x": xs.tolist(), "density": density.tolist()}
-    entry["_point"] = point
-    entry["_curve"] = curve
-    return entry
+    return entry, point, curve
 
 
 def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationReport:
@@ -193,24 +200,18 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
 
     model_ids = dataset.model_ids
     with ThreadPoolExecutor(max_workers=min(8, len(model_ids))) as pool:
-        entries = dict(
-            zip(
-                model_ids,
-                pool.map(lambda m: _analyze_model(m, dataset.errors(m), config), model_ids),
-            )
-        )
+        analyzed = list(pool.map(lambda m: _analyze_model(m, dataset.errors(m), config), model_ids))
+    models, points, curves = {}, {}, {}
+    for m, (entry, point, curve) in zip(model_ids, analyzed):
+        models[m], points[m], curves[m] = entry, point, curve
 
     wants = set(config.outputs)
     scale = float(dataset.n) if config.normalize else 1.0
     hull_dict = None
     dominance_list = None
     if "hull" in wants or "dominance" in wants:
-        if "curves" in wants:
-            hull_inputs = {m: entries[m]["_curve"] for m in model_ids}
-        else:
-            hull_inputs = {m: entries[m]["_point"] for m in model_ids}
+        hull = convex_hull(curves if "curves" in wants else points)
         if "hull" in wants:
-            hull = convex_hull(hull_inputs)
             hull_dict = {
                 "level": "curves" if "curves" in wants else "points",
                 "points": [
@@ -231,18 +232,16 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
                     "model": r.model_id,
                     "point": _point_dict(r.point, scale),
                 }
-                for r in dominance_map(hull_inputs).regions
+                for r in dominance_map(hull).regions
             ]
 
     alpha_queries = None
     if config.alphas:
         alpha_queries = []
         for a in config.alphas:
-            losses = {m: total_loss(entries[m]["_point"], a) for m in model_ids}
-            best_point, _ = best_point_for_alpha(
-                [entries[m]["_point"] for m in model_ids], a
-            )
-            best_id = min(m for m in model_ids if entries[m]["_point"] == best_point)
+            losses = {m: total_loss(points[m], a) for m in model_ids}
+            best_point, _ = best_point_for_alpha(list(points.values()), a)
+            best_id = min(m for m in model_ids if points[m] == best_point)
             iso = isometric_through(best_point, a)
             alpha_queries.append(
                 {
@@ -256,13 +255,6 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
                     },
                 }
             )
-
-    models = {}
-    for m in model_ids:
-        entry = dict(entries[m])
-        entry.pop("_point")
-        entry.pop("_curve")
-        models[m] = entry
 
     return EvaluationReport(
         schema_version=SCHEMA_VERSION,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
+from .curve import distinct_mask
 from .errors import DataError
 from .report import EvaluationReport
 
@@ -163,10 +164,8 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
         color = colors[model_id]
         vertices = entry.get("curve", {}).get("vertices")
         if vertices:
-            distinct = []
-            for v in vertices:
-                if not distinct or (v["over"], v["under"]) != (distinct[-1]["over"], distinct[-1]["under"]):
-                    distinct.append(v)
+            keep = distinct_mask([v["over"] for v in vertices], [v["under"] for v in vertices])
+            distinct = [v for v, k in zip(vertices, keep.tolist()) if k]
             pts = [(distinct[0]["over"], frame.y0)]
             pts += [(v["over"], v["under"]) for v in distinct]
             pts.append((frame.x1, distinct[-1]["under"]))

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rroc import (
     DataError,
@@ -14,9 +16,15 @@ from rroc import (
     hybrid_segment,
     isometric_through,
     optimal_constant_shift,
+    over_under,
     rroc_curve,
     total_loss,
 )
+from rroc.analysis import COLLINEAR_EPS
+from rroc.core import OVER_EXTREME, UNDER_EXTREME
+from rroc.curve import distinct_mask
+
+from .test_curve import lattice_errors
 
 # Exact crossover of the m1 and m3 points: 1 / (1 + 4.461/7.862).
 CROSSOVER_M1_M3 = 7.862 / 12.323
@@ -272,3 +280,120 @@ class TestDominance:
         for a, b in zip(regions, regions[1:]):
             assert b.alpha_low == a.alpha_high
             assert b.alpha_high > b.alpha_low
+
+
+# Reference: the object-based hull, one candidate object per distinct vertex,
+# that convex_hull and dominance_map replaced. Results must agree exactly.
+
+
+def reference_distinct(curve):
+    """(index, vertex) of the distinct interior vertices, one vertex at a time."""
+    interior = list(curve.interior)
+    finite = [v for v in interior if v.is_finite]
+    scale = max((max(v.over, -v.under) for v in finite), default=0.0)
+    tol = 1e-12 * scale
+    out = []
+    for k, v in enumerate(interior):
+        if out and abs(v.over - out[-1][1].over) <= tol and abs(v.under - out[-1][1].under) <= tol:
+            continue
+        out.append((k, v))
+    return out
+
+
+def reference_hull(inputs):
+    """Finite hull points as (over, under, model id, vertex index)."""
+    cands = []
+    for model_id in sorted(inputs):
+        item = inputs[model_id]
+        if isinstance(item, RrocPoint):
+            cands.append((item, model_id, None))
+        else:
+            for k, (_, v) in enumerate(reference_distinct(item)):
+                cands.append((RrocPoint(v.over, v.under), model_id, k))
+    cands.sort(key=lambda c: (c[0].over, -c[0].under, c[1]))
+    frontier, best_under = [], -math.inf
+    for c in cands:
+        if c[0].under > best_under:
+            frontier.append(c)
+            best_under = c[0].under
+
+    def turns_left(o, a, b):
+        t1 = (a.over - o.over) * (b.under - o.under)
+        t2 = (a.under - o.under) * (b.over - o.over)
+        return (t1 - t2) > COLLINEAR_EPS * max(abs(t1), abs(t2), 1e-300)
+
+    chain = []
+    for c in frontier:
+        while len(chain) >= 2 and turns_left(chain[-2][0], chain[-1][0], c[0]):
+            chain.pop()
+        chain.append(c)
+    return [(p.over, p.under, m, k) for p, m, k in chain]
+
+
+def reference_dominance(hull_points):
+    """Regions as (alpha_low, alpha_high, model id, over, under)."""
+    regions, low = [], 0.0
+    for a, b in zip(hull_points, hull_points[1:]):
+        high = hybrid_segment(RrocPoint(a[0], a[1]), RrocPoint(b[0], b[1])).crossover_alpha
+        if high > low or not regions:
+            regions.append((low, high, a[2], a[0], a[1]))
+            low = high
+    last = hull_points[-1]
+    if not regions or low < 1.0:
+        regions.append((low, 1.0, last[2], last[0], last[1]))
+    return regions
+
+
+@st.composite
+def hull_inputs(draw):
+    """Curves and points of several models with ties, near-ties and collinear points.
+
+    Each lattice error vector may also enter as an exact copy (tied curves),
+    shifted by a constant or scaled by 1 + 1e-12 (curves equal up to float
+    noise), or as its point. Extra points on one line of slope 1 are collinear.
+    """
+    inputs = {}
+    for e in draw(st.lists(lattice_errors, min_size=1, max_size=3)):
+        for variant in draw(st.lists(st.sampled_from(["curve", "copy", "shift", "scale", "point"]),
+                                     min_size=1, max_size=3)):
+            model_id = f"m{len(inputs)}"
+            if variant == "point":
+                inputs[model_id] = over_under(e)
+            elif variant == "shift":
+                inputs[model_id] = rroc_curve(e + 0.37, model_id)
+            elif variant == "scale":
+                inputs[model_id] = rroc_curve(e * (1 + 1e-12), model_id)
+            else:
+                inputs[model_id] = rroc_curve(e, model_id)
+    for i in draw(st.lists(st.integers(0, 40), max_size=4, unique=True)):
+        inputs[f"p{i}"] = RrocPoint(i / 4, i / 4 - 10.0)
+    return inputs
+
+
+class TestHullAgainstReference:
+    @given(hull_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_hull_and_dominance_match_reference(self, inputs):
+        hull = convex_hull(inputs)
+        expected = reference_hull(inputs)
+        got = [(hp.point.over, hp.point.under, hp.model_id, hp.vertex_index) for hp in hull.finite_points]
+        assert got == expected
+        assert (hull.points[0].point, hull.points[-1].point) == (UNDER_EXTREME, OVER_EXTREME)
+        want_regions = reference_dominance(expected)
+        for dm in (dominance_map(inputs), dominance_map(hull)):
+            regions = [(r.alpha_low, r.alpha_high, r.model_id, r.point.over, r.point.under)
+                       for r in dm.regions]
+            assert regions == want_regions
+
+    @given(lattice_errors, st.sampled_from([1e-14, 1e-12, 1e-11]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_distinct_mask_matches_reference(self, values, eps, data):
+        # Nudging tied errors apart by multiples of eps makes runs of vertices
+        # closer than the 1e-12 tolerance, some drifting past it.
+        nudges = data.draw(st.lists(st.integers(0, 3), min_size=values.size, max_size=values.size))
+        curve = rroc_curve(values + np.asarray(nudges) * eps)
+        want = [k for k, _ in reference_distinct(curve)]
+        assert np.flatnonzero(distinct_mask(curve.over, curve.under)).tolist() == want
+        assert [(v.over, v.under) for v in curve.distinct_vertices()] == [
+            (v.over, v.under) for _, v in reference_distinct(curve)
+        ]

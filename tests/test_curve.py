@@ -12,6 +12,7 @@ from rroc import (
     aoc,
     aoc_brute_force,
     default_shift_grid,
+    distinct_mask,
     is_convex,
     normalized_curve,
     over_under,
@@ -110,6 +111,20 @@ class TestCurveConstruction:
         for a, b in zip(distinct, distinct[1:]):
             assert b.over > a.over
             assert b.under > a.under
+
+
+class TestDistinctMask:
+    def test_compares_with_last_kept_vertex(self):
+        # Scale 1, tolerance 1e-12: the third vertex is within tolerance of
+        # its neighbour but not of the last kept vertex.
+        over = [0.0, 6e-13, 1.2e-12, 1.0]
+        under = [-1.0, -1.0, -1.0, 0.0]
+        assert distinct_mask(over, under).tolist() == [True, False, True, True]
+
+    def test_unordered_vertices(self):
+        over = [0.0, 6e-13, 1.2e-12, 6e-13, 1.0]
+        under = [-1.0, -1.0, -1.0, -1.0, 0.0]
+        assert distinct_mask(over, under).tolist() == [True, False, True, False, True]
 
 
 class TestSegmentGeometry:

@@ -68,6 +68,18 @@ class TestLoadPredictions:
         with pytest.raises(DataError, match="non-finite"):
             load_predictions(path)
 
+    def test_non_utf8_bytes_report_row(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"actual,predicted\n1.0,2.0\n1.0,2.5\xff\n")
+        with pytest.raises(DataError, match="row 2: invalid UTF-8"):
+            load_predictions(path)
+
+    def test_extra_cells_report_row(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("actual,predicted\n1.0,2.0\n1.0,2.5,3.0\n")
+        with pytest.raises(DataError, match="row 2: 3 cells for 2 header columns"):
+            load_predictions(path)
+
     def test_duplicate_model_id(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("actual,predicted:a,predicted:a\n1.0,2.0,3.0\n")

@@ -82,6 +82,30 @@ class TestRunPipeline:
         assert parsed["schema_version"] == "1"
         assert parsed["config"]["normalize"] is False
 
+    def test_compact_and_indented_json_agree(self, predictions_csv):
+        report = analyze(predictions_csv, alphas=(0.3, 0.8), normalize=True)
+        compact, pretty = report.to_json(), report.to_json(indent=2)
+        assert "\n" not in compact.rstrip("\n")
+        assert pretty.startswith('{\n  "schema_version": "1"')
+        assert json.loads(compact) == json.loads(pretty)
+
+    def test_hull_built_once_for_hull_and_dominance(self, predictions_csv, monkeypatch):
+        import rroc.analysis
+        import rroc.report
+
+        calls = []
+        original = rroc.analysis.convex_hull
+
+        def counting(inputs):
+            calls.append(inputs)
+            return original(inputs)
+
+        monkeypatch.setattr(rroc.analysis, "convex_hull", counting)
+        monkeypatch.setattr(rroc.report, "convex_hull", counting)
+        report = analyze(predictions_csv, outputs=("points", "curves", "hull", "dominance"))
+        assert len(calls) == 1
+        assert report.hull["points"] and report.dominance
+
     def test_unknown_output_rejected(self, predictions_csv):
         with pytest.raises(ConfigError):
             RunConfig(input=str(predictions_csv), outputs=("bogus",))
@@ -130,6 +154,16 @@ class TestSvg:
         assert svg.count('class="vertex"') == 10
         assert svg.count('class="origin"') == 1
         assert svg.startswith("<svg")
+
+    def test_vertex_markers_follow_the_distinct_vertex_count(self, tmp_path):
+        # 0.1 + 0.2 and 0.3 differ by one ulp: one vertex in the report, so
+        # one marker in the plot.
+        path = tmp_path / "near_tie.csv"
+        rows = [0.1 + 0.2, 0.3, 1.0, -2.0, 0.7]
+        path.write_text("actual,predicted\n" + "".join(f"0,{p!r}\n" for p in rows))
+        report = analyze(path, outputs=("points", "curves"))
+        assert report.models["model"]["curve"]["distinct_vertex_count"] == 4
+        assert render_svg(report).count('class="vertex"') == 4
 
     def test_points_and_diagonal(self, predictions_csv):
         report = analyze(predictions_csv, outputs=("points",))
@@ -261,6 +295,35 @@ class TestCli:
         code = main(["analyze", "--input", str(bad), "--json", str(json_path)])
         assert code == 3
         assert not json_path.exists()
+
+    def test_no_partial_outputs_when_a_later_target_fails(self, predictions_csv, tmp_path, capsys):
+        json_path = tmp_path / "ok.json"
+        svg_path = tmp_path / "missing" / "x.svg"
+        code = main(
+            ["analyze", "--input", str(predictions_csv), "--json", str(json_path), "--svg", str(svg_path)]
+        )
+        assert code == 3
+        assert str(svg_path) in capsys.readouterr().err
+        assert not json_path.exists()
+        assert list(tmp_path.iterdir()) == [predictions_csv]
+
+    def test_overflowing_input_exits_with_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("actual,predicted\n0,1.5e308\n0,1.5e308\n")
+        code = main(["analyze", "--input", str(path), "--json", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "data", [b"actual,predicted\n1.0,2.0\xff\n", b"actual,predicted\n1.0,2.0,3.0\n"]
+    )
+    def test_hostile_csv_exits_with_data_error(self, tmp_path, capsys, data):
+        path = tmp_path / "hostile.csv"
+        path.write_bytes(data)
+        code = main(["analyze", "--input", str(path)])
+        assert code == 3
+        assert "row 1" in capsys.readouterr().err
 
     def test_synth_round_trip(self, tmp_path):
         out = tmp_path / "synth.csv"
