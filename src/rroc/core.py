@@ -145,7 +145,11 @@ def error_vector(predicted: Sequence[float], actual: Sequence[float]) -> np.ndar
         raise DataError("need at least one example")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(a))):
         raise DataError("inputs contain non-finite entries")
-    return p - a
+    with np.errstate(over="ignore"):
+        e = p - a
+    if not np.all(np.isfinite(e)):
+        raise DataError("predicted - actual overflows to non-finite errors; rescale the input")
+    return e
 
 
 def over_under(errors) -> RrocPoint:

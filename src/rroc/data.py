@@ -73,14 +73,16 @@ def _model_columns(header) -> Dict[str, str]:
     columns = {}
     for name in header:
         if name == PREDICTED_COLUMN:
-            columns[DEFAULT_MODEL_ID] = name
+            model_id = DEFAULT_MODEL_ID
         elif name.startswith(PREDICTED_PREFIX):
             model_id = name[len(PREDICTED_PREFIX):]
             if not model_id:
                 raise ConfigError(f"empty model id in column {name!r}")
-            if model_id in columns:
-                raise ConfigError(f"duplicate model id {model_id!r} in header")
-            columns[model_id] = name
+        else:
+            continue
+        if model_id in columns:
+            raise ConfigError(f"duplicate model id {model_id!r} in header")
+        columns[model_id] = name
     return columns
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -120,9 +119,14 @@ def error_density(errors, points: int = 256):
     if h <= 0:
         h = max(1e-3 * max(abs(float(e[0])), 1.0), 1e-12)
     xs = np.linspace(e.min() - 3 * h, e.max() + 3 * h, points)
-    z = (xs[:, None] - e[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * np.sqrt(2 * np.pi))
-    return xs, density
+    # The kernel matrix is summed a block of grid rows at a time, about 2**18
+    # entries each, so memory stays linear in n; each row's sum is unchanged.
+    sums = np.empty(points)
+    rows = max(1, 2**18 // n)
+    for i in range(0, points, rows):
+        z = (xs[i:i + rows, None] - e[None, :]) / h
+        sums[i:i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+    return xs, sums / (n * h * np.sqrt(2 * np.pi))
 
 
 def _point_dict(point: RrocPoint, scale: float = 1.0) -> dict:
@@ -189,9 +193,8 @@ def _analyze_model(
 def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationReport:
     """Load, analyze every model, and assemble the report.
 
-    Per-model analysis runs concurrently (models are independent); assembly
-    and serialization are single-threaded, so reports are deterministic for a
-    given config and input.
+    Everything runs in the caller's thread, models in order, so reports are
+    deterministic for a given config and input.
     """
     if dataset is None:
         if config.input is None:
@@ -199,11 +202,9 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
         dataset = load_predictions(config.input)
 
     model_ids = dataset.model_ids
-    with ThreadPoolExecutor(max_workers=min(8, len(model_ids))) as pool:
-        analyzed = list(pool.map(lambda m: _analyze_model(m, dataset.errors(m), config), model_ids))
     models, points, curves = {}, {}, {}
-    for m, (entry, point, curve) in zip(model_ids, analyzed):
-        models[m], points[m], curves[m] = entry, point, curve
+    for m in model_ids:
+        models[m], points[m], curves[m] = _analyze_model(m, dataset.errors(m), config)
 
     wants = set(config.outputs)
     scale = float(dataset.n) if config.normalize else 1.0

@@ -2,24 +2,25 @@
 
 A shift is the regression counterpart of a classification threshold: a
 constant added to every prediction to adapt an existing model to a new cost
-asymmetry. A shift-choice method maps (training errors, alpha) to a shift;
+asymmetry. A shift-choice method maps (training errors, alphas) to shifts;
 evaluating a model therefore always means evaluating a (model, method) pair.
 
 The total asymmetric loss is piecewise linear in the shift, so its minimum is
 attained at one of the candidate shifts ``-e_i`` (the negated alpha-quantile
-of the errors, up to plateau choice). The search below evaluates all n sorted
-candidates exactly via prefix sums instead of using a gradient method.
+of the errors, up to plateau choice): an RROC curve vertex. The curve's segment
+slopes are fixed by n, so the optimal vertex is found by index, not by search.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import ConditionLike, RrocPoint, _alpha_of, as_errors, over_under, total_loss
+from .curve import RrocCurve, rroc_curve
 from .errors import DataError
 
 __all__ = [
@@ -54,33 +55,32 @@ def zero_bias_shift(errors) -> float:
     return float(-np.mean(as_errors(errors)))
 
 
-def _candidate_losses(q: np.ndarray, alpha: float) -> np.ndarray:
-    """Total loss at every candidate shift -q[k], q sorted ascending."""
-    n = q.size
-    csum = np.concatenate(([0.0], np.cumsum(q)))
-    k = np.arange(n)
-    # With s = -q[k]: shifted errors q_i - q_k; positive part from i > k,
-    # negative part from i < k (the k-th term is exactly zero).
-    over_sum = (csum[-1] - csum[k + 1]) - (n - k - 1) * q
-    under_sum = csum[k] - k * q
-    return 2.0 * (1.0 - alpha) * over_sum - 2.0 * alpha * under_sum
+def _optimal_vertices(curve: RrocCurve, alphas) -> Tuple[np.ndarray, np.ndarray]:
+    """Index and total loss of the optimal interior vertex of ``curve``, per alpha.
+
+    Vertex i (0-based) is optimal when i <= alpha*n <= i+1: the next segment
+    changes the loss by 2*d_i*(i + 1 - alpha*n), d_i >= 0. Rounding can put
+    floor(alpha*n) one short and on a tie both vertices are optimal, so the
+    floor and its two neighbours are compared. Exact ties go to the smallest
+    |shift|, then (stable sort, window right to left) to the larger shift.
+    """
+    a = np.asarray(alphas, dtype=float)[:, None]
+    window = np.clip(np.floor(a * curve.n).astype(np.intp) + [1, 0, -1], 0, curve.over.size - 1)
+    loss = 2.0 * (1.0 - a) * curve.over[window] - 2.0 * a * curve.under[window]
+    best = np.lexsort((np.abs(curve.shift[window]), loss), axis=-1)[:, :1]
+    return np.take_along_axis(window, best, -1)[:, 0], np.take_along_axis(loss, best, -1)[:, 0]
 
 
 def optimal_constant_shift(errors, oc: ConditionLike) -> Tuple[float, float]:
     """The constant shift minimizing the total asymmetric loss, with its loss.
 
-    Exact search over the n candidate shifts {-e_i}; on exact loss ties
-    (plateaus, e.g. alpha 0 or 1) the candidate with smallest magnitude wins.
-    The returned loss equals the total loss of the matching curve vertex.
+    The optimum is the RROC curve vertex whose neighbouring segment slopes
+    bracket the isometric slope; on exact loss ties (plateaus) the shift with
+    smallest magnitude wins. The loss is the total loss of that vertex.
     """
-    a = _alpha_of(oc)
-    e = as_errors(errors)
-    q = np.sort(e)
-    losses = _candidate_losses(q, a)
-    best = losses.min()
-    ties = np.nonzero(losses == best)[0]
-    winner = ties[np.argmin(np.abs(q[ties]))]
-    return float(-q[winner]), float(best)
+    curve = rroc_curve(errors)
+    i, loss = _optimal_vertices(curve, [_alpha_of(oc)])
+    return float(curve.shift[i[0]]), float(loss[0])
 
 
 def trained_constant_shift(
@@ -100,16 +100,16 @@ def trained_constant_shift(
 
 
 class ShiftMethod:
-    """A rule mapping (errors, alpha) to a deployment shift.
+    """A rule mapping (errors, alphas) to one deployment shift per alpha.
 
-    Subclasses implement ``shift_for``. ``kind`` names the method in reports.
+    Subclasses implement ``shifts``. ``kind`` names the method in reports.
     Non-constant methods (polynomial, per-example probabilistic) can plug in
     here but are not shipped.
     """
 
     kind: str = "abstract"
 
-    def shift_for(self, errors, alpha: float) -> float:
+    def shifts(self, errors, alphas) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -118,8 +118,8 @@ class NoShift(ShiftMethod):
 
     kind = "none"
 
-    def shift_for(self, errors, alpha: float) -> float:
-        return 0.0
+    def shifts(self, errors, alphas) -> np.ndarray:
+        return np.zeros(len(alphas))
 
 
 class OptimalConstantShift(ShiftMethod):
@@ -127,8 +127,9 @@ class OptimalConstantShift(ShiftMethod):
 
     kind = "optimal_constant"
 
-    def shift_for(self, errors, alpha: float) -> float:
-        return optimal_constant_shift(errors, alpha)[0]
+    def shifts(self, errors, alphas) -> np.ndarray:
+        curve = rroc_curve(errors)
+        return curve.shift[_optimal_vertices(curve, alphas)[0]]
 
 
 class TrainedConstantShift(ShiftMethod):
@@ -139,8 +140,8 @@ class TrainedConstantShift(ShiftMethod):
     def __init__(self, train_errors):
         self.train_errors = as_errors(train_errors)
 
-    def shift_for(self, errors, alpha: float) -> float:
-        return optimal_constant_shift(self.train_errors, alpha)[0]
+    def shifts(self, errors, alphas) -> np.ndarray:
+        return OptimalConstantShift().shifts(self.train_errors, alphas)
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -175,9 +176,7 @@ def cost_curve(
         raise DataError("alpha grid must be a nonempty 1-D sequence")
     if np.any(~np.isfinite(grid)) or grid.min() < 0.0 or grid.max() > 1.0:
         raise DataError("alpha grid values must lie in [0, 1]")
-    n = e.size
-    losses = np.empty_like(grid)
-    for i, a in enumerate(grid):
-        s = method.shift_for(e, float(a))
-        losses[i] = total_loss(over_under(e + s), float(a)) / n
+    shifts, which = np.unique(method.shifts(e, grid), return_inverse=True)
+    over, under = np.array([astuple(over_under(e + s)) for s in shifts]).T[:, which]
+    losses = (-2.0 * grid * under + 2.0 * (1.0 - grid) * over) / e.size  # total_loss per alpha
     return CostCurve(alphas=grid, losses=losses, method=method.kind, model_id=model_id)

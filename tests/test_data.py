@@ -86,6 +86,15 @@ class TestLoadPredictions:
         with pytest.raises(ConfigError, match="duplicate"):
             load_predictions(path)
 
+    @pytest.mark.parametrize(
+        "header", ["actual,predicted,predicted:model", "actual,predicted:model,predicted"]
+    )
+    def test_predicted_collides_with_default_model_id(self, tmp_path, header):
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\n1,2,3\n")
+        with pytest.raises(ConfigError, match=f"duplicate model id {DEFAULT_MODEL_ID!r}"):
+            load_predictions(path)
+
 
 class TestDataset:
     def test_length_mismatch(self):

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rroc import DataError, RunConfig, render_svg, run
+from rroc import DataError, RunConfig, error_density, render_svg, run
 from rroc.cli import main
 from rroc.errors import ConfigError
 from rroc.synth import generate_synthetic
@@ -106,6 +112,20 @@ class TestRunPipeline:
         assert len(calls) == 1
         assert report.hull["points"] and report.dominance
 
+    def test_models_analyzed_in_order_in_the_callers_thread(self, predictions_csv, monkeypatch):
+        import rroc.report
+
+        calls = []
+        original = rroc.report._analyze_model
+
+        def recording(model_id, e, config):
+            calls.append((model_id, threading.get_ident()))
+            return original(model_id, e, config)
+
+        monkeypatch.setattr(rroc.report, "_analyze_model", recording)
+        analyze(predictions_csv)
+        assert calls == [(m, threading.get_ident()) for m in ("m1", "m2", "m3")]
+
     def test_unknown_output_rejected(self, predictions_csv):
         with pytest.raises(ConfigError):
             RunConfig(input=str(predictions_csv), outputs=("bogus",))
@@ -113,6 +133,40 @@ class TestRunPipeline:
     def test_alpha_out_of_range_rejected(self, predictions_csv):
         with pytest.raises(ConfigError):
             RunConfig(input=str(predictions_csv), alphas=(1.5,))
+
+
+def dense_error_density(errors, points=256):
+    """Reference: error_density as one grid-by-n kernel matrix (memory O(256 n))."""
+    e = np.asarray(errors, dtype=float)
+    n = e.size
+    q75, q25 = np.percentile(e, [75, 25])
+    candidates = [c for c in (float(np.std(e)), (q75 - q25) / 1.34) if c > 0]
+    spread = min(candidates) if candidates else 0.0
+    h = 0.9 * spread * n ** (-0.2)
+    if h <= 0:
+        h = max(1e-3 * max(abs(float(e[0])), 1.0), 1e-12)
+    xs = np.linspace(e.min() - 3 * h, e.max() + 3 * h, points)
+    z = (xs[:, None] - e[None, :]) / h
+    density = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * np.sqrt(2 * np.pi))
+    return xs, density
+
+
+class TestErrorDensity:
+    @pytest.mark.parametrize("n", [1, 7, 1000, 5000])
+    def test_bit_identical_to_the_dense_kernel_sum(self, n):
+        e = np.random.default_rng(n).normal(0.3, 2.0, n)
+        for got, want in zip(error_density(e), dense_error_density(e)):
+            assert np.array_equal(got, want)
+
+    def test_memory_stays_linear_in_n(self):
+        e = np.random.default_rng(5).normal(0.0, 1.0, 100_000)
+        tracemalloc.start()
+        try:
+            error_density(e)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestSynthetic:
@@ -363,6 +417,26 @@ class TestCli:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    def test_overflowing_errors_exit_with_one_data_error_line(self, tmp_path):
+        # A separate interpreter, so a numpy warning would reach stderr.
+        path = tmp_path / "overflow.csv"
+        path.write_text("actual,predicted\n1e308,-1e308\n-1e308,1e308\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rroc.cli", "analyze", "--input", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
+
+    def test_predicted_after_its_named_twin_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "twins.csv"
+        path.write_text("actual,predicted:model,predicted\n1,2,3\n")
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert "duplicate model id 'model'" in capsys.readouterr().err
 
     def test_internal_failure_maps_to_exit_4(self, predictions_csv, monkeypatch, capsys):
         from rroc import RrocError

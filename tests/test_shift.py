@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,60 @@ def exhaustive_best_loss(e, alpha):
     q = np.sort(np.asarray(e, dtype=float))
     shifts = list(-q) + list(-(q[:-1] + q[1:]) / 2.0) + [-q[0] + 1.0, -q[-1] - 1.0]
     return min(scan_loss(e, s, alpha) for s in shifts)
+
+
+def candidate_losses(q, alpha):
+    """Oracle: total loss at every candidate shift -q[k], q sorted ascending.
+
+    An independent construction of the curve vertices' losses by prefix sums
+    over the ascending sort.
+    """
+    n = q.size
+    csum = np.concatenate(([0.0], np.cumsum(q)))
+    k = np.arange(n)
+    # With s = -q[k]: shifted errors q_i - q_k; positive part from i > k,
+    # negative part from i < k (the k-th term is exactly zero).
+    over_sum = (csum[-1] - csum[k + 1]) - (n - k - 1) * q
+    under_sum = csum[k] - k * q
+    return 2.0 * (1.0 - alpha) * over_sum - 2.0 * alpha * under_sum
+
+
+def candidate_scan(e, alpha):
+    """Oracle: every candidate shift with its loss, and the scan's winner.
+
+    The winner has the least loss; on exact ties the smallest |shift|, and
+    of two shifts of equal magnitude the positive one.
+    """
+    q = np.sort(np.asarray(e, dtype=float))
+    losses = candidate_losses(q, alpha)
+    ties = np.nonzero(losses == losses.min())[0]
+    winner = ties[np.argmin(np.abs(q[ties]))]
+    return -q, losses, float(-q[winner])
+
+
+@st.composite
+def plateau_problems(draw):
+    """Errors (often tied) with alphas that are often on the k/n plateau grid."""
+    e = draw(
+        st.one_of(
+            error_arrays,
+            st.lists(st.integers(-8, 8), min_size=1, max_size=48).map(lambda v: np.asarray(v, float)),
+            # n a power of two puts the k/n plateaus on exact binary fractions
+            st.sampled_from([2, 4, 8, 16, 32])
+            .flatmap(lambda n: st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+            .map(lambda v: np.asarray(v, float)),
+            st.lists(st.sampled_from([-1.7, -0.3, 0.0, 0.1, 2.9]), min_size=1, max_size=48).map(np.asarray),
+        )
+    )
+    n = e.size
+    alpha = draw(
+        st.one_of(
+            st.floats(0, 1, allow_nan=False),
+            st.integers(0, n).map(lambda k: k / n),
+            st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+        )
+    )
+    return e, alpha
 
 
 class TestApplyShift:
@@ -96,6 +152,36 @@ class TestOptimalConstantShift:
     def test_returned_loss_matches_returned_shift(self, e, alpha):
         s, loss = optimal_constant_shift(e, alpha)
         assert loss == pytest.approx(scan_loss(e, s, alpha), rel=1e-9, abs=1e-9)
+
+    @given(plateau_problems())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_prefix_sum_candidate_scan(self, problem):
+        e, alpha = problem
+        s, loss = optimal_constant_shift(e, alpha)
+        shifts, losses, winner = candidate_scan(e, alpha)
+        tol = 1e-12 * e.size * float(np.abs(e).max())
+        assert abs(loss - losses.min()) <= tol
+        assert np.any((shifts == s) & (losses <= losses.min() + tol))
+        # Integer errors and an alpha with a short binary fraction make both
+        # loss computations exact, so both see the same exact ties.
+        if np.all(e == np.round(e)) and Fraction(alpha).denominator <= 2**16:
+            assert s == winner
+
+    def test_plateau_takes_smallest_magnitude_shift(self):
+        # n = 4, alpha = 1/2: the vertices of shifts -2 and 1 tie at loss 10.
+        assert optimal_constant_shift([-3.0, -1.0, 2.0, 4.0], 0.5) == (1.0, 10.0)
+        # equal magnitudes: the positive shift, as the candidate scan picks it
+        assert optimal_constant_shift([-1.0, 1.0], 0.5) == (1.0, 2.0)
+        assert candidate_scan([-1.0, 1.0], 0.5)[2] == 1.0
+
+    def test_method_shifts_match_per_alpha_optimum(self, errors):
+        grid = default_alpha_grid()
+        e, train = errors["m1"], errors["m2"]
+        optimal = OptimalConstantShift().shifts(e, grid)
+        trained = TrainedConstantShift(train).shifts(e, grid)
+        assert optimal.tolist() == [optimal_constant_shift(e, a)[0] for a in grid]
+        assert trained.tolist() == [optimal_constant_shift(train, a)[0] for a in grid]
+        assert NoShift().shifts(e, grid).tolist() == [0.0] * grid.size
 
     def test_shifted_point_lands_on_curve_vertex(self, errors):
         e = errors["m3"]
@@ -178,6 +264,22 @@ class TestCostCurve:
         trained = cost_curve(test, TrainedConstantShift(errors["m1"] + 1.0), grid)
         optimal = cost_curve(test, OptimalConstantShift(), grid)
         assert np.all(trained.losses >= optimal.losses - 1e-12)
+
+    def test_none_method_applies_its_shift_once(self, errors, monkeypatch):
+        import rroc.shift
+
+        calls = []
+        original = rroc.shift.over_under
+
+        def counting(e):
+            calls.append(e)
+            return original(e)
+
+        monkeypatch.setattr(rroc.shift, "over_under", counting)
+        cc = cost_curve(errors["m1"], NoShift())
+        assert len(calls) == 1
+        point = original(errors["m1"])
+        assert cc.losses.tolist() == [total_loss(point, float(a)) / 10 for a in cc.alphas]
 
     def test_grid_validation(self, errors):
         with pytest.raises(DataError):
