@@ -13,6 +13,7 @@ horizontal ray.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,6 +25,7 @@ from .core import (
     ConditionLike,
     RrocPoint,
     _alpha_of,
+    _total_losses,
     total_loss,
 )
 from .curve import RrocCurve, VertexPoint, distinct_mask
@@ -72,9 +74,14 @@ def isometric_through(point: RrocPoint, oc: ConditionLike) -> Isometric:
     return Isometric(alpha=a, slope=slope, intercept=point.under - slope * point.over, level=level)
 
 
-def _selection_key(point, loss: float):
-    # Deterministic tie-break on exact loss ties: lower over, then lower |under|.
-    return (loss, point.over, abs(point.under))
+def _best_index(over, under, alpha: float) -> Tuple[int, float]:
+    """Index and total loss of the minimum-loss point among columns.
+
+    Exact loss ties go to lower over, then lower |under|, then the first.
+    """
+    loss = _total_losses(over, under, alpha)
+    best = int(np.lexsort((np.abs(under), over, loss))[0])
+    return best, float(loss[best])
 
 
 def best_point_for_alpha(
@@ -83,9 +90,10 @@ def best_point_for_alpha(
     """The point of minimum total loss at asymmetry alpha, with its loss."""
     if not points:
         raise DataError("need at least one point")
-    a = _alpha_of(oc)
-    best = min(points, key=lambda p: _selection_key(p, total_loss(p, a)))
-    return best, total_loss(best, a)
+    over = np.array([p.over for p in points])
+    under = np.array([p.under for p in points])
+    best, loss = _best_index(over, under, _alpha_of(oc))
+    return points[best], loss
 
 
 def best_vertex_for_alpha(
@@ -98,14 +106,8 @@ def best_vertex_for_alpha(
     (1-alpha)/alpha. At alpha = 0 that is the first vertex (OVER = 0), at
     alpha = 1 the last (UNDER = 0).
     """
-    a = _alpha_of(oc)
-    ov, un = curve.over, curve.under
-    # Same terms as total_loss, one per vertex.
-    under_term = 0.0 if a == 0.0 else -2.0 * a * un
-    over_term = 0.0 if a == 1.0 else 2.0 * (1.0 - a) * ov
-    loss = under_term + over_term
-    best = int(np.lexsort((np.abs(un), ov, loss))[0])
-    return curve.interior[best], float(loss[best])
+    best, loss = _best_index(curve.over, curve.under, _alpha_of(oc))
+    return curve.interior[best], loss
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ class ConvexHull:
 
     @property
     def finite_points(self) -> tuple:
-        return tuple(hp for hp in self.points if hp.point.is_finite)
+        return self.points[1:-1]
 
 
 HullInput = Union[RrocPoint, RrocCurve]
@@ -266,11 +268,6 @@ class DominanceRegion:
     model_id: Optional[str]
     point: RrocPoint
 
-    def covers(self, alpha: float, first: bool) -> bool:
-        if first:
-            return self.alpha_low <= alpha <= self.alpha_high
-        return self.alpha_low < alpha <= self.alpha_high
-
 
 @dataclass(frozen=True)
 class DominanceMap:
@@ -279,12 +276,10 @@ class DominanceMap:
     regions: tuple
 
     def model_at(self, alpha: float) -> DominanceRegion:
-        a = _alpha_of(alpha)
-        for i, region in enumerate(self.regions):
-            if region.covers(a, first=(i == 0)):
-                return region
-        # Unreachable for a well-formed map; the last region ends at 1.
-        raise DataError(f"no dominance region covers alpha={a!r}")
+        # Region highs strictly increase to 1 and each region owns its high
+        # end, so the covering region is the first whose high is >= alpha.
+        highs = [r.alpha_high for r in self.regions]
+        return self.regions[bisect_left(highs, _alpha_of(alpha))]
 
 
 def dominance_map(inputs: Union[ConvexHull, Dict[str, HullInput]]) -> DominanceMap:

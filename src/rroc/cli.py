@@ -69,18 +69,16 @@ def _cmd_analyze(args) -> int:
         alphas=_parse_alphas(args.alpha),
         outputs=tuple(o.strip() for o in args.outputs.split(",") if o.strip()),
         normalize=args.normalize,
-        json_path=args.json,
-        svg_path=args.svg,
         reproducible=args.reproducible,
     )
     report = run(config)
     # Render everything before writing anything: a failed stage must not
     # leave partial output files behind.
     payloads = []
-    if config.json_path:
-        payloads.append((config.json_path, report.to_json()))
-    if config.svg_path:
-        payloads.append((config.svg_path, render_svg(report)))
+    if args.json:
+        payloads.append((args.json, report.to_json()))
+    if args.svg:
+        payloads.append((args.svg, render_svg(report)))
     _write_all(payloads)
     if not payloads:
         sys.stdout.write(report.to_json())

@@ -183,10 +183,16 @@ def asymmetric_loss(predicted: float, actual: float, oc: ConditionLike) -> float
     ``2*(1-alpha)*(predicted - actual)`` otherwise; an exact prediction
     costs 0. At alpha = 0.5 this is the plain absolute error.
     """
-    a = _alpha_of(oc)
-    if predicted < actual:
-        return 2.0 * a * (actual - predicted)
-    return 2.0 * (1.0 - a) * (predicted - actual)
+    e = predicted - actual
+    return float(_total_losses(max(e, 0.0), min(e, 0.0), _alpha_of(oc)))
+
+
+def _total_losses(over, under, alpha):
+    """``total_loss`` elementwise over broadcast over, under and alpha arrays."""
+    with np.errstate(invalid="ignore"):
+        under_term = np.where(alpha == 0.0, 0.0, -2.0 * alpha * under)
+        over_term = np.where(alpha == 1.0, 0.0, 2.0 * (1.0 - alpha) * over)
+    return under_term + over_term
 
 
 def total_loss(point: RrocPoint, oc: ConditionLike) -> float:
@@ -196,7 +202,4 @@ def total_loss(point: RrocPoint, oc: ConditionLike) -> float:
     Zero coefficients silence the matching coordinate, so the extreme points
     get loss 0 at their own end of the alpha range (0 * inf is taken as 0).
     """
-    a = _alpha_of(oc)
-    under_term = 0.0 if a == 0.0 else -2.0 * a * point.under
-    over_term = 0.0 if a == 1.0 else 2.0 * (1.0 - a) * point.over
-    return under_term + over_term
+    return float(_total_losses(point.over, point.under, _alpha_of(oc)))

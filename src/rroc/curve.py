@@ -106,41 +106,14 @@ class RrocCurve:
 
     The interior vertices are stored as columns in sweep order: float arrays
     ``over``, ``under`` and ``shift`` and int arrays ``n_over`` and
-    ``n_under``. The two extremes (0, -inf) and (inf, 0) are implied.
-    ``RrocCurve(vertices=..., n=...)`` builds a curve from VertexPoint
-    objects, extremes included; ``from_arrays`` takes the columns directly.
+    ``n_under``, kept as given (not copied) and made read-only. The two
+    extremes (0, -inf) and (inf, 0) are implied.
     """
 
     __slots__ = ("over", "under", "shift", "n_over", "n_under", "n", "model_id", "normalized")
 
-    def __init__(self, vertices, n: int, model_id: Optional[str] = None, normalized: bool = False):
-        vertices = tuple(vertices)
-        if len(vertices) < 3:
-            raise DataError("curve needs the two extremes plus interior vertices")
-        first, last = vertices[0], vertices[-1]
-        if not (first.over == 0.0 and math.isinf(first.under)):
-            raise DataError("first vertex must be the (0, -inf) extreme")
-        if not (math.isinf(last.over) and last.under == 0.0):
-            raise DataError("last vertex must be the (inf, 0) extreme")
-        interior = vertices[1:-1]
-        self._init(
-            np.array([v.over for v in interior], dtype=float),
-            np.array([v.under for v in interior], dtype=float),
-            np.array([v.shift for v in interior], dtype=float),
-            np.array([v.n_over for v in interior], dtype=np.int64),
-            np.array([v.n_under for v in interior], dtype=np.int64),
-            n, model_id, normalized,
-        )
-
-    @classmethod
-    def from_arrays(cls, over, under, shift, n_over, n_under, n: int,
-                    model_id: Optional[str] = None, normalized: bool = False) -> "RrocCurve":
-        """A curve from its interior columns; the arrays are kept, not copied."""
-        curve = cls.__new__(cls)
-        curve._init(over, under, shift, n_over, n_under, n, model_id, normalized)
-        return curve
-
-    def _init(self, over, under, shift, n_over, n_under, n, model_id, normalized):
+    def __init__(self, over, under, shift, n_over, n_under, n: int,
+                 model_id: Optional[str] = None, normalized: bool = False):
         if n < 1:
             raise DataError("curve needs n >= 1 examples")
         for name, column in (("over", over), ("under", under), ("shift", shift),
@@ -257,7 +230,7 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
 
     n_over = np.searchsorted(-es, -es, side="left")        # strictly larger errors
     n_under = n - np.searchsorted(-es, -es, side="right")  # strictly smaller errors
-    return RrocCurve.from_arrays(overs, unders, -es, n_over, n_under, n, model_id)
+    return RrocCurve(overs, unders, -es, n_over, n_under, n, model_id)
 
 
 def segment_slopes(n: int) -> list:
@@ -343,7 +316,7 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
     ``variance / 2``. Shifts and counts are metadata and stay untouched.
     """
     n = curve.n
-    return RrocCurve.from_arrays(
+    return RrocCurve(
         curve.over / n, curve.under / n, curve.shift, curve.n_over, curve.n_under,
         n, curve.model_id, normalized=True,
     )
@@ -353,8 +326,8 @@ def is_convex(curve: RrocCurve, rel_tol: float = 1e-9) -> bool:
     """True iff the finite-segment slopes are nonincreasing left to right.
 
     Curves produced by ``rroc_curve`` are always convex (their slopes follow
-    the fixed (n+1-i)/(i-1) ladder); this check exists for hand-built vertex
-    lists. Coincident vertices are skipped; slope comparisons allow a small
+    the fixed (n+1-i)/(i-1) ladder); this check exists for hand-built
+    curves. Coincident vertices are skipped; slope comparisons allow a small
     relative tolerance for float noise.
     """
     keep = distinct_mask(curve.over, curve.under)

@@ -12,11 +12,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import best_point_for_alpha, convex_hull, dominance_map, isometric_through
-from .core import RrocPoint, metrics, over_under, total_loss
+from .core import RrocPoint, _total_losses, metrics, over_under, total_loss
 from .curve import RrocCurve, aoc, distinct_mask, normalized_curve, rroc_curve
 from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError
-from .shift import NoShift, OptimalConstantShift, cost_curve, default_alpha_grid
+from .shift import OptimalConstantShift, cost_curve, default_alpha_grid
 
 __all__ = ["OUTPUT_KINDS", "RunConfig", "EvaluationReport", "run", "error_density"]
 
@@ -33,8 +33,6 @@ class RunConfig:
     alphas: Tuple[float, ...] = ()
     outputs: Tuple[str, ...] = DEFAULT_OUTPUTS
     normalize: bool = False
-    json_path: Optional[str] = None
-    svg_path: Optional[str] = None
     reproducible: bool = False
 
     def __post_init__(self):
@@ -177,15 +175,21 @@ def _analyze_model(
         }
     if "cost" in wants:
         grid = default_alpha_grid()
-        none_curve = cost_curve(e, NoShift(), grid, model_id=model_id)
+        # The unshifted model's cost curve is its point's loss per example.
+        none_losses = _total_losses(point.over, point.under, grid) / e.size
         opt_curve = cost_curve(e, OptimalConstantShift(), grid, model_id=model_id)
         entry["cost_curves"] = {
             "alphas": grid.tolist(),
-            "none": none_curve.losses.tolist(),
+            "none": none_losses.tolist(),
             "optimal_constant": opt_curve.losses.tolist(),
         }
     if "density" in wants:
-        xs, density = error_density(e)
+        with np.errstate(over="ignore"):
+            xs, density = error_density(e)
+        if not np.all(np.isfinite(density)):
+            raise DataError(
+                f"model {model_id!r}: the error density overflows for so narrow a spread; rescale the input"
+            )
         entry["density"] = {"x": xs.tolist(), "density": density.tolist()}
     return entry, point, curve
 

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import ConditionLike, RrocPoint, _alpha_of, as_errors, over_under, total_loss
+from .core import ConditionLike, RrocPoint, _alpha_of, _total_losses, as_errors, over_under, total_loss
 from .curve import RrocCurve, rroc_curve
 from .errors import DataError
 
@@ -66,7 +66,7 @@ def _optimal_vertices(curve: RrocCurve, alphas) -> Tuple[np.ndarray, np.ndarray]
     """
     a = np.asarray(alphas, dtype=float)[:, None]
     window = np.clip(np.floor(a * curve.n).astype(np.intp) + [1, 0, -1], 0, curve.over.size - 1)
-    loss = 2.0 * (1.0 - a) * curve.over[window] - 2.0 * a * curve.under[window]
+    loss = _total_losses(curve.over[window], curve.under[window], a)
     best = np.lexsort((np.abs(curve.shift[window]), loss), axis=-1)[:, :1]
     return np.take_along_axis(window, best, -1)[:, 0], np.take_along_axis(loss, best, -1)[:, 0]
 
@@ -178,5 +178,5 @@ def cost_curve(
         raise DataError("alpha grid values must lie in [0, 1]")
     shifts, which = np.unique(method.shifts(e, grid), return_inverse=True)
     over, under = np.array([astuple(over_under(e + s)) for s in shifts]).T[:, which]
-    losses = (-2.0 * grid * under + 2.0 * (1.0 - grid) * over) / e.size  # total_loss per alpha
+    losses = _total_losses(over, under, grid) / e.size
     return CostCurve(alphas=grid, losses=losses, method=method.kind, model_id=model_id)

@@ -95,6 +95,35 @@ class TestBestPoint:
             assert isometric_through(best, alpha).intercept == pytest.approx(top, rel=1e-12)
 
 
+def reference_best_point(points, alpha):
+    """The min-over-keys selection that best_point_for_alpha replaced."""
+    def key(p):
+        return (total_loss(p, alpha), p.over, abs(p.under))
+
+    best = min(points, key=key)
+    return best, total_loss(best, alpha)
+
+
+tie_prone_points = st.lists(
+    st.builds(RrocPoint, st.integers(0, 4).map(float), st.integers(-4, 0).map(float)),
+    min_size=1, max_size=8,
+)
+
+
+class TestBestPointAgainstReference:
+    @given(tie_prone_points, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_min_over_keys(self, points, grid_alpha, alpha):
+        # Small integer coordinates repeat points and, at quarter alphas,
+        # give exact loss ties between different points.
+        points = points + [RrocPoint(p.over, p.under) for p in points[::2]]
+        for a in (grid_alpha, alpha):
+            got, loss = best_point_for_alpha(points, a)
+            want, want_loss = reference_best_point(points, a)
+            assert got is want
+            assert loss == want_loss
+
+
 class TestBestVertex:
     def test_alpha_zero_picks_first_vertex(self, errors):
         curve = rroc_curve(errors["m1"])
@@ -397,3 +426,27 @@ class TestHullAgainstReference:
         assert [(v.over, v.under) for v in curve.distinct_vertices()] == [
             (v.over, v.under) for _, v in reference_distinct(curve)
         ]
+
+
+def reference_model_at(regions, alpha):
+    """The region scan that DominanceMap.model_at replaced."""
+    for i, r in enumerate(regions):
+        low_ok = r.alpha_low <= alpha if i == 0 else r.alpha_low < alpha
+        if low_ok and alpha <= r.alpha_high:
+            return r
+    raise AssertionError(f"no region covers {alpha!r}")
+
+
+class TestModelAtAgainstReference:
+    @given(hull_inputs(), st.lists(st.floats(0.0, 1.0), max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_region_scan(self, inputs, alphas):
+        dm = dominance_map(inputs)
+        regions = dm.regions
+        queries = [0.0, 1.0, *alphas]
+        for r in regions:
+            queries += [r.alpha_low, r.alpha_high, math.nextafter(r.alpha_high, 2.0),
+                        math.nextafter(r.alpha_low, -1.0)]
+        for a in queries:
+            if 0.0 <= a <= 1.0:
+                assert dm.model_at(a) is reference_model_at(regions, a)

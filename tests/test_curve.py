@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rroc import (
     DataError,
     RrocCurve,
-    VertexPoint,
     aoc,
     aoc_brute_force,
     default_shift_grid,
@@ -266,37 +265,26 @@ class TestConvexity:
         assert is_convex(rroc_curve(values))
 
     def test_slope_inversion_detected(self):
-        vertices = (
-            VertexPoint(0.0, -math.inf, -math.inf, 0, 3),
-            VertexPoint(0.0, -10.0, -2.0, 0, 2),
-            VertexPoint(1.0, -9.5, -1.0, 1, 1),    # slope 0.5
-            VertexPoint(2.0, -5.0, 0.0, 2, 0),     # slope 4.5: inversion
-            VertexPoint(math.inf, 0.0, math.inf, 3, 0),
+        curve = RrocCurve(
+            over=np.array([0.0, 1.0, 2.0]),
+            under=np.array([-10.0, -9.5, -5.0]),   # slopes 0.5, then 4.5: inversion
+            shift=np.array([-2.0, -1.0, 0.0]),
+            n_over=np.array([0, 1, 2]),
+            n_under=np.array([2, 1, 0]),
+            n=3,
         )
-        assert not is_convex(RrocCurve(vertices=vertices, n=3))
+        assert not is_convex(curve)
 
 
 class TestCurveValidation:
-    def test_requires_extremes(self):
-        with pytest.raises(DataError):
-            RrocCurve(
-                vertices=(
-                    VertexPoint(0.0, -1.0, 0.0, 0, 1),
-                    VertexPoint(1.0, 0.0, 1.0, 1, 0),
-                    VertexPoint(math.inf, 0.0, math.inf, 1, 0),
-                ),
-                n=1,
-            )
-
     def test_aoc_needs_finite_interior(self):
+        curve = RrocCurve(
+            over=np.array([1.0]),
+            under=np.array([-math.inf]),
+            shift=np.array([0.0]),
+            n_over=np.array([0]),
+            n_under=np.array([1]),
+            n=1,
+        )
         with pytest.raises(DataError):
-            aoc(
-                RrocCurve(
-                    vertices=(
-                        VertexPoint(0.0, -math.inf, -math.inf, 0, 1),
-                        VertexPoint(1.0, -math.inf, 0.0, 0, 1),
-                        VertexPoint(math.inf, 0.0, math.inf, 1, 0),
-                    ),
-                    n=1,
-                )
-            )
+            aoc(curve)

@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rroc import DataError, RunConfig, error_density, render_svg, run
 from rroc.cli import main
 from rroc.errors import ConfigError
+from rroc.report import OUTPUT_KINDS
 from rroc.synth import generate_synthetic
 
 
@@ -125,6 +132,25 @@ class TestRunPipeline:
         monkeypatch.setattr(rroc.report, "_analyze_model", recording)
         analyze(predictions_csv)
         assert calls == [(m, threading.get_ident()) for m in ("m1", "m2", "m3")]
+
+    def test_none_cost_curve_is_read_off_the_point(self, predictions_csv, errors, monkeypatch):
+        import rroc.report
+        from rroc import NoShift, cost_curve, default_alpha_grid
+
+        calls = []
+        original = rroc.report.cost_curve
+
+        def counting(e, method, *args, **kwargs):
+            calls.append(method.kind)
+            return original(e, method, *args, **kwargs)
+
+        monkeypatch.setattr(rroc.report, "cost_curve", counting)
+        report = analyze(predictions_csv, outputs=("points", "cost"))
+        assert calls == ["optimal_constant"] * 3
+        for m in ("m1", "m2", "m3"):
+            want = cost_curve(errors[m], NoShift(), default_alpha_grid()).losses
+            got = np.array(report.models[m]["cost_curves"]["none"])
+            assert got.tobytes() == want.tobytes()
 
     def test_unknown_output_rejected(self, predictions_csv):
         with pytest.raises(ConfigError):
@@ -432,6 +458,19 @@ class TestCli:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
 
+    def test_density_overflow_is_one_data_error_line(self, tmp_path, capsys):
+        # Errors 1e-320 apart give a kernel density beyond the float range.
+        path = tmp_path / "narrow.csv"
+        path.write_text("actual,predicted\n0,0\n0,1e-320\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--input", str(path), "--outputs", "points,density",
+                         "--json", str(tmp_path / "r.json")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_predicted_after_its_named_twin_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "twins.csv"
         path.write_text("actual,predicted:model,predicted\n1,2,3\n")
@@ -449,3 +488,70 @@ class TestCli:
         code = main(["analyze", "--input", str(predictions_csv)])
         assert code == 4
         assert "internal error" in capsys.readouterr().err
+
+
+# CSV bytes built to break the loader: header variants, hostile numbers,
+# empty and extra cells, stray quotes and bytes that are not UTF-8. Half the
+# files are well formed apart from extreme numbers, so the success path runs.
+PREDICTED_CELLS = ["predicted", "predicted:a", "predicted:b", "other"]
+HEADER_CELLS = PREDICTED_CELLS + ["actual", "predicted:", "Actual", " actual", "\ufeffactual", ""]
+NUMBER_CELLS = ["1e308", "-1e308", "1e-320", "5e-324", "-0.0", "0", " 2 ", "1_0"]
+HOSTILE_CELLS = ["", "nan", "inf", "-inf", "abc", '"1"', '"', "1,5"]
+number_text = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.floats(-1e6, 1e6).map(repr),
+    st.sampled_from(NUMBER_CELLS),
+)
+cell_text = st.one_of(number_text, st.sampled_from(HOSTILE_CELLS), st.floats().map(repr))
+
+
+@st.composite
+def hostile_csv(draw):
+    if draw(st.booleans()):
+        header = draw(st.lists(st.sampled_from(PREDICTED_CELLS), min_size=1, max_size=3, unique=True))
+        header.insert(draw(st.integers(0, len(header))), "actual")
+        rows = draw(st.lists(
+            st.lists(number_text, min_size=len(header), max_size=len(header)), min_size=1, max_size=6))
+        junk = b""
+    else:
+        header = draw(st.lists(st.sampled_from(HEADER_CELLS), max_size=4))
+        rows = draw(st.lists(
+            st.lists(cell_text, min_size=max(0, len(header) - 1), max_size=len(header) + 1), max_size=6))
+        junk = draw(st.sampled_from([b"", b"\xff", b"\xc3", b"\x00"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    data = eol.join(",".join(cells) for cells in [header, *rows]).encode("utf-8")
+    if draw(st.booleans()):
+        data += eol.encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + junk + data[at:]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+class TestCliFuzz:
+    @given(hostile_csv(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_contract_holds_on_hostile_csv(self, data, normalize):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            source, json_path, svg_path = work / "in.csv", work / "r.json", work / "p.svg"
+            source.write_bytes(data)
+            argv = ["analyze", "--input", str(source), "--outputs", ",".join(OUTPUT_KINDS),
+                    "--alpha", "0,0.3,1", "--json", str(json_path), "--svg", str(svg_path)]
+            stderr = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main(argv + (["--normalize"] if normalize else []))
+            assert [str(w.message) for w in caught] == []
+            assert code in (0, 2, 3)
+            assert not list(work.glob("*.tmp"))
+            if code == 0:
+                assert stderr.getvalue() == ""
+                json.loads(json_path.read_text(), parse_constant=_reject_constant)
+                assert svg_path.read_text().startswith("<svg")
+            else:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("rroc: ")
+                assert not json_path.exists() and not svg_path.exists()
