@@ -54,8 +54,10 @@ COLLINEAR_EPS = 1e-12
 class Isometric:
     """A constant-loss line: -2a*UNDER + 2(1-a)*OVER = level.
 
-    ``intercept`` is the UNDER-axis intercept; it is None for alpha = 0,
-    where the isometric is the vertical line OVER = level / 2.
+    ``intercept`` is the UNDER-axis intercept. The line is vertical, with
+    slope inf and intercept None, at alpha = 0, where it is OVER = level / 2,
+    and at any alpha so small that the slope or the intercept is not a finite
+    float.
     """
 
     alpha: float
@@ -68,10 +70,12 @@ def isometric_through(point: RrocPoint, oc: ConditionLike) -> Isometric:
     """The isometric line through ``point`` for asymmetry alpha."""
     a = _alpha_of(oc)
     level = total_loss(point, a)
-    if a == 0.0:
-        return Isometric(alpha=a, slope=math.inf, intercept=None, level=level)
-    slope = (1.0 - a) / a
-    return Isometric(alpha=a, slope=slope, intercept=point.under - slope * point.over, level=level)
+    if a > 0.0:
+        slope = (1.0 - a) / a
+        intercept = point.under - slope * point.over
+        if math.isfinite(slope) and math.isfinite(intercept):
+            return Isometric(alpha=a, slope=slope, intercept=intercept, level=level)
+    return Isometric(alpha=a, slope=math.inf, intercept=None, level=level)
 
 
 def _best_index(over, under, alpha: float) -> Tuple[int, float]:

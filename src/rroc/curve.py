@@ -42,6 +42,9 @@ __all__ = [
     "is_convex",
 ]
 
+# Relative slack allowed between consecutive slopes by ``is_convex``.
+CONVEX_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class VertexPoint:
@@ -69,7 +72,7 @@ class VertexSequence(Sequence):
     """Read-only view of a curve's vertices as VertexPoint objects.
 
     ``len()`` reads the array length; a VertexPoint is built only for the
-    vertex asked for, and slicing returns a tuple of them.
+    vertex asked for.
     """
 
     __slots__ = ("_curve", "_extremes")
@@ -81,9 +84,7 @@ class VertexSequence(Sequence):
     def __len__(self) -> int:
         return self._curve.over.size + (2 if self._extremes else 0)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
+    def __getitem__(self, i: int) -> VertexPoint:
         size = len(self)
         if i < 0:
             i += size
@@ -322,18 +323,18 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
     )
 
 
-def is_convex(curve: RrocCurve, rel_tol: float = 1e-9) -> bool:
+def is_convex(curve: RrocCurve) -> bool:
     """True iff the finite-segment slopes are nonincreasing left to right.
 
     Curves produced by ``rroc_curve`` are always convex (their slopes follow
     the fixed (n+1-i)/(i-1) ladder); this check exists for hand-built
-    curves. Coincident vertices are skipped; slope comparisons allow a small
-    relative tolerance for float noise.
+    curves. Coincident vertices are skipped; slope comparisons allow a
+    relative tolerance of ``CONVEX_REL_TOL`` for float noise.
     """
     keep = distinct_mask(curve.over, curve.under)
     dx, dy = np.diff(curve.over[keep]), np.diff(curve.under[keep])
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = np.where(dx == 0.0, math.inf, dy / dx)
     prev, cur = slopes[:-1], slopes[1:]
-    bound = prev + rel_tol * np.maximum(np.maximum(np.abs(prev), np.abs(cur)), 1.0)
+    bound = prev + CONVEX_REL_TOL * np.maximum(np.maximum(np.abs(prev), np.abs(cur)), 1.0)
     return not np.any(cur > bound)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -138,7 +139,7 @@ def _parse_cell(row, column: str, path, row_number: int) -> float:
         raise DataError(
             f"{path}: row {row_number}: unparseable number {raw!r} in column {column!r}"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(f"{path}: row {row_number}: non-finite value in column {column!r}")
     return value
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -16,13 +16,14 @@ from .core import RrocPoint, _total_losses, metrics, over_under, total_loss
 from .curve import RrocCurve, aoc, distinct_mask, normalized_curve, rroc_curve
 from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError
-from .shift import OptimalConstantShift, cost_curve, default_alpha_grid
+from .shift import _optimal_vertices, default_alpha_grid
 
 __all__ = ["OUTPUT_KINDS", "RunConfig", "EvaluationReport", "run", "error_density"]
 
 SCHEMA_VERSION = "1"
 OUTPUT_KINDS = ("points", "curves", "hull", "dominance", "cost", "density")
 DEFAULT_OUTPUTS = ("points", "curves", "hull", "dominance")
+DENSITY_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,6 @@ class RunConfig:
         if bad:
             raise ConfigError(f"alpha values outside [0, 1]: {bad!r}")
 
-    def as_dict(self) -> dict:
-        return {
-            "input": self.input,
-            "alphas": list(self.alphas),
-            "outputs": list(self.outputs),
-            "normalize": self.normalize,
-            "reproducible": self.reproducible,
-        }
-
 
 @dataclass
 class EvaluationReport:
@@ -77,36 +69,22 @@ class EvaluationReport:
     alpha_queries: Optional[List[dict]] = None
     generated_at: Optional[str] = None
 
-    def as_dict(self) -> dict:
-        out = {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "n": self.n,
-            "models": self.models,
-        }
-        if self.hull is not None:
-            out["hull"] = self.hull
-        if self.dominance is not None:
-            out["dominance"] = self.dominance
-        if self.alpha_queries is not None:
-            out["alpha_queries"] = self.alpha_queries
-        if self.generated_at is not None:
-            out["generated_at"] = self.generated_at
-        return out
-
     def to_json(self, indent: Optional[int] = None) -> str:
-        """The report as strict JSON; ``indent=2`` pretty-prints it."""
+        """The report as strict JSON; ``indent=2`` pretty-prints it.
+
+        Keys follow the field order; fields that are None are left out.
+        """
+        fields = {k: v for k, v in vars(self).items() if v is not None}
         separators = None if indent is not None else (",", ":")
-        return json.dumps(self.as_dict(), indent=indent, separators=separators, allow_nan=False) + "\n"
+        return json.dumps(fields, indent=indent, separators=separators, allow_nan=False) + "\n"
 
 
-def error_density(errors, points: int = 256):
-    """Gaussian kernel density of an error vector, Silverman bandwidth.
+def error_density(errors):
+    """Gaussian kernel density of an error vector at DENSITY_POINTS x values.
 
-    Bandwidth 0.9 * min(std, IQR/1.34) * n**(-1/5); degenerate spreads fall
-    back to a narrow kernel so constant error vectors still render as a
-    spike.
+    Silverman bandwidth 0.9 * min(std, IQR/1.34) * n**(-1/5); degenerate
+    spreads fall back to a narrow kernel so constant error vectors still
+    render as a spike.
     """
     e = np.asarray(errors, dtype=float)
     n = e.size
@@ -116,18 +94,18 @@ def error_density(errors, points: int = 256):
     h = 0.9 * spread * n ** (-0.2)
     if h <= 0:
         h = max(1e-3 * max(abs(float(e[0])), 1.0), 1e-12)
-    xs = np.linspace(e.min() - 3 * h, e.max() + 3 * h, points)
+    xs = np.linspace(e.min() - 3 * h, e.max() + 3 * h, DENSITY_POINTS)
     # The kernel matrix is summed a block of grid rows at a time, about 2**18
     # entries each, so memory stays linear in n; each row's sum is unchanged.
-    sums = np.empty(points)
+    sums = np.empty(DENSITY_POINTS)
     rows = max(1, 2**18 // n)
-    for i in range(0, points, rows):
+    for i in range(0, DENSITY_POINTS, rows):
         z = (xs[i:i + rows, None] - e[None, :]) / h
         sums[i:i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
     return xs, sums / (n * h * np.sqrt(2 * np.pi))
 
 
-def _point_dict(point: RrocPoint, scale: float = 1.0) -> dict:
+def _point_dict(point: RrocPoint, scale: float) -> dict:
     return {"over": point.over / scale, "under": point.under / scale}
 
 
@@ -175,13 +153,14 @@ def _analyze_model(
         }
     if "cost" in wants:
         grid = default_alpha_grid()
-        # The unshifted model's cost curve is its point's loss per example.
+        # Per example, the unshifted model costs its point's loss and the
+        # optimally shifted one the loss of its curve's optimal vertex.
         none_losses = _total_losses(point.over, point.under, grid) / e.size
-        opt_curve = cost_curve(e, OptimalConstantShift(), grid, model_id=model_id)
+        optimal_losses = _optimal_vertices(curve, grid)[1] / e.size
         entry["cost_curves"] = {
             "alphas": grid.tolist(),
             "none": none_losses.tolist(),
-            "optimal_constant": opt_curve.losses.tolist(),
+            "optimal_constant": optimal_losses.tolist(),
         }
     if "density" in wants:
         with np.errstate(over="ignore"):
@@ -220,12 +199,7 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
             hull_dict = {
                 "level": "curves" if "curves" in wants else "points",
                 "points": [
-                    {
-                        "over": hp.point.over / scale,
-                        "under": hp.point.under / scale,
-                        "model": hp.model_id,
-                        "vertex_index": hp.vertex_index,
-                    }
+                    {**_point_dict(hp.point, scale), "model": hp.model_id, "vertex_index": hp.vertex_index}
                     for hp in hull.finite_points
                 ],
             }
@@ -264,7 +238,7 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
     return EvaluationReport(
         schema_version=SCHEMA_VERSION,
         tool_version=__version__,
-        config=config.as_dict(),
+        config=asdict(config),
         n=dataset.n,
         models=models,
         hull=hull_dict,

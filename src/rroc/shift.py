@@ -14,8 +14,8 @@ slopes are fixed by n, so the optimal vertex is found by index, not by search.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -160,15 +160,9 @@ class CostCurve:
     alphas: np.ndarray
     losses: np.ndarray
     method: str
-    model_id: Optional[str] = None
 
 
-def cost_curve(
-    errors,
-    method: ShiftMethod,
-    alphas=None,
-    model_id: Optional[str] = None,
-) -> CostCurve:
+def cost_curve(errors, method: ShiftMethod, alphas=None) -> CostCurve:
     """Evaluate a shift-choice method across a grid of operating conditions."""
     e = as_errors(errors)
     grid = default_alpha_grid() if alphas is None else np.asarray(alphas, dtype=float)
@@ -177,6 +171,7 @@ def cost_curve(
     if np.any(~np.isfinite(grid)) or grid.min() < 0.0 or grid.max() > 1.0:
         raise DataError("alpha grid values must lie in [0, 1]")
     shifts, which = np.unique(method.shifts(e, grid), return_inverse=True)
-    over, under = np.array([astuple(over_under(e + s)) for s in shifts]).T[:, which]
+    points = [over_under(e + s) for s in shifts]
+    over, under = np.array([(p.over, p.under) for p in points]).T[:, which]
     losses = _total_losses(over, under, grid) / e.size
-    return CostCurve(alphas=grid, losses=losses, method=method.kind, model_id=model_id)
+    return CostCurve(alphas=grid, losses=losses, method=method.kind)

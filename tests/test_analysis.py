@@ -51,6 +51,18 @@ class TestIsometric:
         assert iso.intercept is None
         assert iso.level == pytest.approx(2 * points["m1"].over)
 
+    def test_alpha_too_small_for_a_finite_line_is_vertical(self, points):
+        # At 1e-320 the slope (1-a)/a overflows; at 1e-300 it is finite but
+        # slope * over overflows once over is about 3e10.
+        for point, a in ((points["m1"], 1e-320), (RrocPoint(3e10, -1.0), 1e-300)):
+            iso = isometric_through(point, a)
+            assert iso.slope == math.inf
+            assert iso.intercept is None
+            assert iso.level == total_loss(point, a)
+        finite = isometric_through(points["m1"], 1e-300)
+        assert finite.slope == (1.0 - 1e-300) / 1e-300
+        assert math.isfinite(finite.intercept)
+
     def test_points_on_line_share_the_level(self, points):
         iso = isometric_through(points["m3"], 0.8)
         x = 3.7

@@ -134,23 +134,38 @@ class TestRunPipeline:
         assert calls == [(m, threading.get_ident()) for m in ("m1", "m2", "m3")]
 
     def test_none_cost_curve_is_read_off_the_point(self, predictions_csv, errors, monkeypatch):
-        import rroc.report
+        import rroc.shift
         from rroc import NoShift, cost_curve, default_alpha_grid
 
         calls = []
-        original = rroc.report.cost_curve
 
-        def counting(e, method, *args, **kwargs):
-            calls.append(method.kind)
-            return original(e, method, *args, **kwargs)
+        def counting(name):
+            original = getattr(rroc.shift, name)
 
-        monkeypatch.setattr(rroc.report, "cost_curve", counting)
-        report = analyze(predictions_csv, outputs=("points", "cost"))
-        assert calls == ["optimal_constant"] * 3
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("cost_curve", "over_under"):
+                patch.setattr(rroc.shift, name, counting(name))
+            report = analyze(predictions_csv, outputs=("points", "cost"))
+        assert calls == []
         for m in ("m1", "m2", "m3"):
             want = cost_curve(errors[m], NoShift(), default_alpha_grid()).losses
             got = np.array(report.models[m]["cost_curves"]["none"])
             assert got.tobytes() == want.tobytes()
+
+    def test_optimal_cost_curve_is_the_optimal_shift_loss(self, predictions_csv, errors):
+        from rroc import optimal_constant_shift
+
+        report = analyze(predictions_csv, outputs=("points", "cost"))
+        for m in ("m1", "m2", "m3"):
+            cc = report.models[m]["cost_curves"]
+            want = [optimal_constant_shift(errors[m], a)[1] / errors[m].size for a in cc["alphas"]]
+            assert np.array(cc["optimal_constant"]).tobytes() == np.array(want).tobytes()
 
     def test_unknown_output_rejected(self, predictions_csv):
         with pytest.raises(ConfigError):
@@ -471,6 +486,23 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("rows, alpha", [
+        (["1,1.5", "2,1", "3,3"], "1e-320"),   # the slope (1-a)/a overflows
+        (["0,3e10", "0,-1", "0,0"], "1e-300"),  # slope * OVER overflows
+    ])
+    def test_alpha_too_small_for_a_finite_isometric(self, tmp_path, rows, alpha):
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(["actual,predicted", *rows]) + "\n")
+        json_path, svg_path = tmp_path / "r.json", tmp_path / "p.svg"
+        code = main(["analyze", "--input", str(path), "--alpha", alpha,
+                     "--json", str(json_path), "--svg", str(svg_path)])
+        assert code == 0
+        report = json.loads(json_path.read_text(), parse_constant=_reject_constant)
+        (query,) = report["alpha_queries"]
+        assert query["isometric"]["slope"] is None
+        assert query["isometric"]["intercept"] is None
+        assert 'class="isometric"' in svg_path.read_text()
+
     def test_predicted_after_its_named_twin_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "twins.csv"
         path.write_text("actual,predicted:model,predicted\n1,2,3\n")
@@ -531,15 +563,15 @@ def _reject_constant(name):
 
 
 class TestCliFuzz:
-    @given(hostile_csv(), st.booleans())
+    @given(hostile_csv(), st.booleans(), st.one_of(st.floats(0, 1), st.sampled_from([0.0, 5e-324, 1e-320, 1.0])))
     @settings(max_examples=150, deadline=None)
-    def test_contract_holds_on_hostile_csv(self, data, normalize):
+    def test_contract_holds_on_hostile_csv(self, data, normalize, alpha):
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             source, json_path, svg_path = work / "in.csv", work / "r.json", work / "p.svg"
             source.write_bytes(data)
             argv = ["analyze", "--input", str(source), "--outputs", ",".join(OUTPUT_KINDS),
-                    "--alpha", "0,0.3,1", "--json", str(json_path), "--svg", str(svg_path)]
+                    "--alpha", f"0,0.3,1,{alpha!r}", "--json", str(json_path), "--svg", str(svg_path)]
             stderr = io.StringIO()
             with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
                 warnings.simplefilter("always")

@@ -240,7 +240,7 @@ class TestTrainedConstantShift:
 class TestCostCurve:
     def test_none_method_is_affine(self, errors):
         e = errors["m1"]
-        cc = cost_curve(e, NoShift(), model_id="m1")
+        cc = cost_curve(e, NoShift())
         assert cc.method == "none"
         assert cc.losses[0] == pytest.approx(0.5138, abs=5e-4)
         assert cc.losses[-1] == pytest.approx(1.1352, abs=5e-4)
