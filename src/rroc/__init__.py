@@ -36,8 +36,6 @@ from .core import (
 )
 from .curve import (
     RrocCurve,
-    SegmentSlope,
-    VertexPoint,
     aoc,
     aoc_brute_force,
     default_shift_grid,
@@ -71,9 +69,8 @@ __all__ = [
     "__version__",
     "OperatingCondition", "RrocPoint", "SummaryMetrics",
     "error_vector", "over_under", "metrics", "asymmetric_loss", "total_loss",
-    "RrocCurve", "VertexPoint", "SegmentSlope",
-    "rroc_curve", "segment_slopes", "segment_alpha", "aoc", "aoc_brute_force",
-    "default_shift_grid", "distinct_mask", "normalized_curve", "is_convex",
+    "RrocCurve", "rroc_curve", "segment_slopes", "segment_alpha", "aoc",
+    "aoc_brute_force", "default_shift_grid", "distinct_mask", "normalized_curve", "is_convex",
     "Isometric", "HybridSegment", "HullPoint", "ConvexHull",
     "DominanceRegion", "DominanceMap",
     "isometric_through", "best_point_for_alpha", "best_vertex_for_alpha",

@@ -28,7 +28,7 @@ from .core import (
     _total_losses,
     total_loss,
 )
-from .curve import RrocCurve, VertexPoint, distinct_mask
+from .curve import RrocCurve, distinct_mask
 from .errors import DataError
 
 __all__ = [
@@ -100,18 +100,15 @@ def best_point_for_alpha(
     return points[best], loss
 
 
-def best_vertex_for_alpha(
-    curve: RrocCurve, oc: ConditionLike
-) -> Tuple[VertexPoint, float]:
-    """The curve vertex of minimum total loss at asymmetry alpha.
+def best_vertex_for_alpha(curve: RrocCurve, oc: ConditionLike) -> Tuple[int, float]:
+    """Interior index and total loss of the curve vertex optimal at alpha.
 
     Scans the interior vertices with the tie-break of ``best_point_for_alpha``;
     the winner is always the vertex whose two adjacent segment slopes bracket
     (1-alpha)/alpha. At alpha = 0 that is the first vertex (OVER = 0), at
     alpha = 1 the last (UNDER = 0).
     """
-    best, loss = _best_index(curve.over, curve.under, _alpha_of(oc))
-    return curve.interior[best], loss
+    return _best_index(curve.over, curve.under, _alpha_of(oc))
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ class HullPoint:
     """A hull vertex with its provenance.
 
     ``model_id`` is None for the two symbolic extremes. For points taken from
-    a curve, ``vertex_index`` indexes that curve's distinct interior vertices.
+    a curve, ``vertex_index`` indexes that curve's ``distinct_vertices()``.
     """
 
     point: RrocPoint

@@ -71,6 +71,7 @@ def _cmd_analyze(args) -> int:
         normalize=args.normalize,
         reproducible=args.reproducible,
     )
+    _check_targets([path for path in (args.json, args.svg) if path])
     report = run(config)
     # Render everything before writing anything: a failed stage must not
     # leave partial output files behind.
@@ -83,6 +84,15 @@ def _cmd_analyze(args) -> int:
     if not payloads:
         sys.stdout.write(report.to_json())
     return EXIT_OK
+
+
+def _check_targets(paths) -> None:
+    """Reject targets that could not all be written: one file twice, or a directory."""
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ConfigError(f"--json and --svg name the same file {paths[0]!r}")
+    for path in paths:
+        if os.path.isdir(path):
+            raise DataError(f"{path}: output target is a directory")
 
 
 def _write_all(payloads) -> None:

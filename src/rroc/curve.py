@@ -17,8 +17,6 @@ the single place the two conventions meet and they agree numerically.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,11 +25,8 @@ from .core import as_errors
 from .errors import DataError
 
 __all__ = [
-    "VertexPoint",
-    "VertexSequence",
     "RrocCurve",
     "distinct_mask",
-    "SegmentSlope",
     "rroc_curve",
     "segment_slopes",
     "segment_alpha",
@@ -46,69 +41,13 @@ __all__ = [
 CONVEX_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class VertexPoint:
-    """One vertex of an RROC curve.
-
-    ``shift`` is the constant added to the predictions to land on this vertex
-    (-inf and +inf for the extremes). ``n_over``/``n_under`` count the
-    examples strictly over-/under-estimated there; the example(s) sitting
-    exactly on the boundary are counted in neither, so
-    ``n_over + n_under <= n``.
-    """
-
-    over: float
-    under: float
-    shift: float
-    n_over: int
-    n_under: int
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.over) and math.isfinite(self.under)
-
-
-class VertexSequence(Sequence):
-    """Read-only view of a curve's vertices as VertexPoint objects.
-
-    ``len()`` reads the array length; a VertexPoint is built only for the
-    vertex asked for.
-    """
-
-    __slots__ = ("_curve", "_extremes")
-
-    def __init__(self, curve: "RrocCurve", extremes: bool):
-        self._curve = curve
-        self._extremes = extremes
-
-    def __len__(self) -> int:
-        return self._curve.over.size + (2 if self._extremes else 0)
-
-    def __getitem__(self, i: int) -> VertexPoint:
-        size = len(self)
-        if i < 0:
-            i += size
-        if not 0 <= i < size:
-            raise IndexError("vertex index out of range")
-        c = self._curve
-        if self._extremes:
-            if i == 0:
-                return VertexPoint(0.0, -math.inf, -math.inf, 0, c.n)
-            if i == size - 1:
-                return VertexPoint(math.inf, 0.0, math.inf, c.n, 0)
-            i -= 1
-        return VertexPoint(
-            float(c.over[i]), float(c.under[i]), float(c.shift[i]), int(c.n_over[i]), int(c.n_under[i])
-        )
-
-
 class RrocCurve:
     """Ordered vertices of a shift-swept model.
 
     The interior vertices are stored as columns in sweep order: float arrays
     ``over``, ``under`` and ``shift`` and int arrays ``n_over`` and
-    ``n_under``, kept as given (not copied) and made read-only. The two
-    extremes (0, -inf) and (inf, 0) are implied.
+    ``n_under``, taken with ``np.asarray`` (arrays are not copied) and made
+    read-only. The two extremes (0, -inf) and (inf, 0) are implied.
     """
 
     __slots__ = ("over", "under", "shift", "n_over", "n_under", "n", "model_id", "normalized")
@@ -117,8 +56,10 @@ class RrocCurve:
                  model_id: Optional[str] = None, normalized: bool = False):
         if n < 1:
             raise DataError("curve needs n >= 1 examples")
-        for name, column in (("over", over), ("under", under), ("shift", shift),
-                             ("n_over", n_over), ("n_under", n_under)):
+        columns = [np.asarray(c) for c in (over, under, shift, n_over, n_under)]
+        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+            raise DataError("curve columns must be 1-D and of one length")
+        for name, column in zip(("over", "under", "shift", "n_over", "n_under"), columns):
             column.flags.writeable = False
             setattr(self, name, column)
         self.n = n
@@ -126,28 +67,25 @@ class RrocCurve:
         self.normalized = normalized
 
     @property
-    def vertices(self) -> VertexSequence:
-        """All n + 2 vertices, extremes included."""
-        return VertexSequence(self, extremes=True)
-
-    @property
-    def interior(self) -> VertexSequence:
-        """The finite vertices, in sweep order."""
-        return VertexSequence(self, extremes=False)
+    def vertices(self) -> np.ndarray:
+        """Read-only (n + 2, 2) array of (over, under), both extremes included."""
+        out = np.column_stack((np.concatenate(([0.0], self.over, [math.inf])),
+                               np.concatenate(([-math.inf], self.under, [0.0]))))
+        out.flags.writeable = False
+        return out
 
     def interior_arrays(self):
         """(overs, unders) of the interior vertices as read-only float arrays."""
         return self.over, self.under
 
-    def distinct_vertices(self) -> tuple:
-        """Interior vertices with coincident (tied-error) runs collapsed.
+    def distinct_vertices(self) -> np.ndarray:
+        """Interior indices of the vertices left when coincident runs collapse.
 
         Ties in the error vector make consecutive vertices coincide; this is
         the deduplicated view used for plotting and counting visible points
         (see ``distinct_mask``).
         """
-        interior = self.interior
-        return tuple(interior[i] for i in np.flatnonzero(distinct_mask(self.over, self.under)).tolist())
+        return np.flatnonzero(distinct_mask(self.over, self.under))
 
 
 def distinct_mask(over, under) -> np.ndarray:
@@ -194,14 +132,6 @@ def distinct_mask(over, under) -> np.ndarray:
     return keep
 
 
-@dataclass(frozen=True)
-class SegmentSlope:
-    """Slope of curve segment ``index`` (1-based, 1..n+1)."""
-
-    index: int
-    slope: float
-
-
 def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
     """Build the RROC curve of an error vector.
 
@@ -234,18 +164,16 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
     return RrocCurve(overs, unders, -es, n_over, n_under, n, model_id)
 
 
-def segment_slopes(n: int) -> list:
+def segment_slopes(n: int) -> np.ndarray:
     """Slopes of the n+1 curve segments: (n+1-i)/(i-1) for i = 1..n+1.
 
-    They depend only on n, not on the error values; curves of equal-sized
+    Element i-1 is the slope of segment i: inf, (n-1)/1, ..., 0/n. They
+    depend only on n, not on the error values; curves of equal-sized
     datasets differ in segment lengths, never in slopes.
     """
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
-    out = [SegmentSlope(1, math.inf)]
-    for i in range(2, n + 2):
-        out.append(SegmentSlope(i, (n + 1 - i) / (i - 1)))
-    return out
+    return np.concatenate(([math.inf], np.arange(n - 1, -1, -1) / np.arange(1, n + 1)))
 
 
 def segment_alpha(n: int, i: int) -> float:

@@ -107,6 +107,8 @@ def load_predictions(path) -> Dataset:
             raise DataError(f"{path}: no rows")
         if ACTUAL_COLUMN not in reader.fieldnames:
             raise ConfigError(f"{path}: missing required column {ACTUAL_COLUMN!r}")
+        if reader.fieldnames.count(ACTUAL_COLUMN) > 1:
+            raise ConfigError(f"{path}: duplicate column {ACTUAL_COLUMN!r} in header")
         columns = _model_columns(reader.fieldnames)
         if not columns:
             raise ConfigError(

@@ -139,14 +139,14 @@ class TestBestPointAgainstReference:
 class TestBestVertex:
     def test_alpha_zero_picks_first_vertex(self, errors):
         curve = rroc_curve(errors["m1"])
-        v, loss = best_vertex_for_alpha(curve, 0.0)
-        assert v.over == 0.0
+        k, loss = best_vertex_for_alpha(curve, 0.0)
+        assert curve.over[k] == 0.0
         assert loss == 0.0
 
     def test_alpha_one_picks_last_vertex(self, errors):
         curve = rroc_curve(errors["m1"])
-        v, loss = best_vertex_for_alpha(curve, 1.0)
-        assert v.under == 0.0
+        k, loss = best_vertex_for_alpha(curve, 1.0)
+        assert curve.under[k] == 0.0
         assert loss == 0.0
 
     def test_matches_optimal_shift_loss(self, errors):
@@ -162,8 +162,8 @@ class TestBestVertex:
         curve = rroc_curve(e)
         n = curve.n
         for alpha in [0.13, 0.34, 0.52, 0.77, 0.99]:
-            v, _ = best_vertex_for_alpha(curve, alpha)
-            k = curve.interior.index(v) + 1  # vertex k sits between segments k, k+1
+            index, _ = best_vertex_for_alpha(curve, alpha)
+            k = index + 1  # vertex k sits between segments k, k+1
             iso_slope = (1 - alpha) / alpha
             slope_before = math.inf if k == 1 else (n + 1 - k) / (k - 1)
             slope_after = (n - k) / k
@@ -252,9 +252,9 @@ class TestConvexHull:
             (hp.point.over, hp.point.under) for hp in convex_hull(curves).finite_points
         }
         candidates = [
-            RrocPoint(v.over, v.under)
+            RrocPoint(float(c.over[k]), float(c.under[k]))
             for c in curves.values()
-            for v in c.distinct_vertices()
+            for k in c.distinct_vertices()
         ]
         for alpha in np.linspace(0.0, 1.0, 201):
             best, _ = best_point_for_alpha(candidates, float(alpha))
@@ -300,7 +300,7 @@ class TestDominance:
         curves = {m: rroc_curve(errors[m], m) for m in ("m1", "m2", "m3")}
         dm = dominance_map(curves)
         candidates = {
-            m: [RrocPoint(v.over, v.under) for v in c.distinct_vertices()]
+            m: [RrocPoint(float(c.over[k]), float(c.under[k])) for k in c.distinct_vertices()]
             for m, c in curves.items()
         }
         flat = [(m, p) for m, pts in candidates.items() for p in pts]
@@ -328,16 +328,16 @@ class TestDominance:
 
 
 def reference_distinct(curve):
-    """(index, vertex) of the distinct interior vertices, one vertex at a time."""
-    interior = list(curve.interior)
-    finite = [v for v in interior if v.is_finite]
-    scale = max((max(v.over, -v.under) for v in finite), default=0.0)
+    """(index, over, under) of the distinct interior vertices, one vertex at a time."""
+    interior = list(zip(curve.over.tolist(), curve.under.tolist()))
+    finite = [(o, u) for o, u in interior if math.isfinite(o) and math.isfinite(u)]
+    scale = max((max(o, -u) for o, u in finite), default=0.0)
     tol = 1e-12 * scale
     out = []
-    for k, v in enumerate(interior):
-        if out and abs(v.over - out[-1][1].over) <= tol and abs(v.under - out[-1][1].under) <= tol:
+    for k, (o, u) in enumerate(interior):
+        if out and abs(o - out[-1][1]) <= tol and abs(u - out[-1][2]) <= tol:
             continue
-        out.append((k, v))
+        out.append((k, o, u))
     return out
 
 
@@ -349,8 +349,8 @@ def reference_hull(inputs):
         if isinstance(item, RrocPoint):
             cands.append((item, model_id, None))
         else:
-            for k, (_, v) in enumerate(reference_distinct(item)):
-                cands.append((RrocPoint(v.over, v.under), model_id, k))
+            for k, (_, o, u) in enumerate(reference_distinct(item)):
+                cands.append((RrocPoint(o, u), model_id, k))
     cands.sort(key=lambda c: (c[0].over, -c[0].under, c[1]))
     frontier, best_under = [], -math.inf
     for c in cands:
@@ -433,11 +433,9 @@ class TestHullAgainstReference:
         # closer than the 1e-12 tolerance, some drifting past it.
         nudges = data.draw(st.lists(st.integers(0, 3), min_size=values.size, max_size=values.size))
         curve = rroc_curve(values + np.asarray(nudges) * eps)
-        want = [k for k, _ in reference_distinct(curve)]
+        want = [k for k, _, _ in reference_distinct(curve)]
         assert np.flatnonzero(distinct_mask(curve.over, curve.under)).tolist() == want
-        assert [(v.over, v.under) for v in curve.distinct_vertices()] == [
-            (v.over, v.under) for _, v in reference_distinct(curve)
-        ]
+        assert curve.distinct_vertices().tolist() == want
 
 
 def reference_model_at(regions, alpha):

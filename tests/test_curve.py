@@ -53,63 +53,67 @@ class TestCurveConstruction:
     def test_extreme_vertices(self, errors):
         curve = rroc_curve(errors["m1"])
         first, last = curve.vertices[0], curve.vertices[-1]
-        assert (first.over, first.under) == (0.0, -math.inf)
-        assert (last.over, last.under) == (math.inf, 0.0)
-        assert first.shift == -math.inf and last.shift == math.inf
+        assert tuple(first) == (0.0, -math.inf)
+        assert tuple(last) == (math.inf, 0.0)
+
+    def test_vertices_array(self, errors):
+        curve = rroc_curve(errors["m1"])
+        vertices = curve.vertices
+        assert vertices.shape == (12, 2)
+        assert not vertices.flags.writeable
+        assert vertices[1:-1, 0].tolist() == curve.over.tolist()
+        assert vertices[1:-1, 1].tolist() == curve.under.tolist()
 
     def test_m4_ties_collapse_to_five_points(self, errors):
         curve = rroc_curve(errors["m4"])
-        assert len(curve.interior) == 10
+        assert curve.over.size == 10
         assert len(curve.distinct_vertices()) == 5
 
     def test_single_example(self):
         curve = rroc_curve([2.7])
-        (v,) = curve.interior
-        assert (v.over, v.under) == (0.0, 0.0)
-        assert v.shift == -2.7
+        assert (curve.over.tolist(), curve.under.tolist()) == ([0.0], [0.0])
+        assert curve.shift.tolist() == [-2.7]
         assert aoc(curve) == 0.0
 
     def test_interior_shifts_are_negated_sorted_errors(self, errors):
         curve = rroc_curve(errors["m1"])
-        shifts = [v.shift for v in curve.interior]
+        shifts = curve.shift.tolist()
         assert shifts == sorted(shifts)
         assert shifts == [-s for s in sorted(errors["m1"], reverse=True)]
 
     def test_boundary_counts_use_strict_inequalities(self, errors):
         for e in errors.values():
             curve = rroc_curve(e)
-            for v in curve.interior:
-                assert v.n_over + v.n_under <= curve.n
+            assert np.all(curve.n_over + curve.n_under <= curve.n)
         # exactly tied values sit on the boundary together
         curve = rroc_curve([1.0, 3.0, 3.0, 3.0, 5.0])
-        by_shift = {v.shift: v for v in curve.interior}
-        tied = by_shift[-3.0]
-        assert (tied.n_over, tied.n_under) == (1, 1)
+        tied = curve.shift == -3.0
+        assert (curve.n_over[tied].tolist(), curve.n_under[tied].tolist()) == ([1, 1, 1], [1, 1, 1])
 
     def test_vertex_coordinates_at_shift(self, errors):
         # applying a vertex's shift reproduces its coordinates
         e = errors["m1"]
-        for v in rroc_curve(e).interior:
-            p = over_under(e + v.shift)
-            assert p.over == pytest.approx(v.over, rel=1e-12, abs=1e-12)
-            assert p.under == pytest.approx(v.under, rel=1e-12, abs=1e-12)
+        curve = rroc_curve(e)
+        for over, under, shift in zip(curve.over, curve.under, curve.shift):
+            p = over_under(e + shift)
+            assert p.over == pytest.approx(over, rel=1e-12, abs=1e-12)
+            assert p.under == pytest.approx(under, rel=1e-12, abs=1e-12)
 
     @given(error_lists)
     @settings(max_examples=200, deadline=None)
     def test_matches_direct_summation_oracle(self, values):
         curve = rroc_curve(values)
         overs, unders = vertices_by_direct_summation(values)
-        for v, o, u in zip(curve.interior, overs, unders):
-            assert v.over == pytest.approx(o, abs=1e-9)
-            assert v.under == pytest.approx(u, abs=1e-9)
+        assert curve.over == pytest.approx(overs, abs=1e-9)
+        assert curve.under == pytest.approx(unders, abs=1e-9)
 
     @given(lattice_errors)
     @settings(max_examples=200, deadline=None)
     def test_monotone_distinct_vertices(self, values):
-        distinct = rroc_curve(values).distinct_vertices()
-        for a, b in zip(distinct, distinct[1:]):
-            assert b.over > a.over
-            assert b.under > a.under
+        curve = rroc_curve(values)
+        distinct = curve.distinct_vertices()
+        assert np.all(np.diff(curve.over[distinct]) > 0)
+        assert np.all(np.diff(curve.under[distinct]) > 0)
 
 
 class TestDistinctMask:
@@ -128,13 +132,19 @@ class TestDistinctMask:
 
 class TestSegmentGeometry:
     def test_slope_ladder_n10(self):
-        slopes = {s.index: s.slope for s in segment_slopes(10)}
-        assert slopes[1] == math.inf
-        assert slopes[2] == 9.0
-        assert slopes[11] == 0.0
+        slopes = segment_slopes(10)                # slopes[i - 1] is segment i's
+        assert slopes.shape == (11,)
+        assert slopes[0] == math.inf
+        assert slopes[1] == 9.0
+        assert slopes[10] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 97, 1000])
+    def test_slopes_match_the_ladder_formula_exactly(self, n):
+        ladder = [math.inf] + [(n + 1 - i) / (i - 1) for i in range(2, n + 2)]
+        assert segment_slopes(n).tolist() == ladder
 
     def test_slopes_depend_only_on_n(self):
-        finite = [s.slope for s in segment_slopes(7)][1:]
+        finite = segment_slopes(7)[1:].tolist()
         assert finite == sorted(finite, reverse=True)
 
     def test_segment_alpha(self):
@@ -232,10 +242,8 @@ class TestNormalizedCurve:
     def test_divides_coordinates_by_n(self, errors):
         curve = normalized_curve(rroc_curve(errors["m1"]))
         assert curve.normalized
-        overs = [v.over for v in curve.interior]
-        unders = [v.under for v in curve.interior]
-        assert max(overs) == pytest.approx(max(v.over for v in rroc_curve(errors["m1"]).interior) / 10)
-        assert min(unders) < 0
+        assert curve.over.max() == pytest.approx(rroc_curve(errors["m1"]).over.max() / 10)
+        assert curve.under.min() < 0
 
     def test_normalized_aoc_is_half_variance(self, errors):
         e = errors["m1"]
@@ -246,9 +254,7 @@ class TestNormalizedCurve:
     def test_unit_dataset_unchanged(self):
         curve = rroc_curve([1.5])
         norm = normalized_curve(curve)
-        assert [(v.over, v.under) for v in norm.interior] == [
-            (v.over, v.under) for v in curve.interior
-        ]
+        assert (norm.over.tolist(), norm.under.tolist()) == (curve.over.tolist(), curve.under.tolist())
 
 
 class TestConvexity:
@@ -288,3 +294,14 @@ class TestCurveValidation:
         )
         with pytest.raises(DataError):
             aoc(curve)
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(DataError, match="one length"):
+            RrocCurve(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3, int), np.zeros(3, int), n=3)
+        with pytest.raises(DataError, match="1-D"):
+            RrocCurve(np.zeros((3, 1)), np.zeros(3), np.zeros(3), np.zeros(3, int), np.zeros(3, int), n=3)
+
+    def test_list_columns_accepted(self):
+        curve = RrocCurve([0.0, 1.0], [-1.0, 0.0], [-1.0, 0.0], [0, 1], [1, 0], n=2)
+        assert isinstance(curve.over, np.ndarray) and not curve.over.flags.writeable
+        assert aoc(curve) == 0.5

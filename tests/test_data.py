@@ -86,6 +86,13 @@ class TestLoadPredictions:
         with pytest.raises(ConfigError, match="duplicate"):
             load_predictions(path)
 
+    def test_duplicate_actual_column(self, tmp_path):
+        # csv.DictReader keeps the later of two equal headers; neither may win.
+        path = tmp_path / "dup.csv"
+        path.write_text("actual,predicted,actual\n1,2,5\n2,3,7\n")
+        with pytest.raises(ConfigError, match="duplicate column 'actual'"):
+            load_predictions(path)
+
     @pytest.mark.parametrize(
         "header", ["actual,predicted,predicted:model", "actual,predicted:model,predicted"]
     )

@@ -226,8 +226,7 @@ class TestSynthetic:
 
         ds = generate_synthetic(0.0, 0.01, 1, "actual-plus-noise", seed=3)
         curve = rroc_curve(ds.errors("actual-plus-noise"))
-        (v,) = curve.interior
-        assert (v.over, v.under) == (0.0, 0.0)
+        assert (curve.over.tolist(), curve.under.tolist()) == ([0.0], [0.0])
         assert aoc(curve) == 0.0
 
     def test_unknown_kind_rejected(self):
@@ -402,6 +401,26 @@ class TestCli:
         assert not json_path.exists()
         assert list(tmp_path.iterdir()) == [predictions_csv]
 
+    def test_json_and_svg_naming_one_file_is_config_error(self, predictions_csv, tmp_path, capsys):
+        same = tmp_path / "same"
+        alias = tmp_path / "." / "same"
+        code = main(["analyze", "--input", str(predictions_csv), "--json", str(same), "--svg", str(alias)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rroc: configuration error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [predictions_csv]
+
+    def test_directory_target_is_data_error(self, predictions_csv, tmp_path, capsys):
+        target = tmp_path / "adir"
+        target.mkdir()
+        json_path = tmp_path / "a.json"
+        code = main(["analyze", "--input", str(predictions_csv), "--json", str(json_path), "--svg", str(target)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("rroc: data error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [target, predictions_csv]
+        assert list(target.iterdir()) == []
+
     def test_overflowing_input_exits_with_data_error(self, tmp_path, capsys):
         path = tmp_path / "huge.csv"
         path.write_text("actual,predicted\n0,1.5e308\n0,1.5e308\n")
@@ -508,6 +527,12 @@ class TestCli:
         path.write_text("actual,predicted:model,predicted\n1,2,3\n")
         assert main(["analyze", "--input", str(path)]) == 2
         assert "duplicate model id 'model'" in capsys.readouterr().err
+
+    def test_repeated_actual_column_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "twins.csv"
+        path.write_text("actual,predicted,actual\n1,2,5\n2,3,7\n")
+        assert main(["analyze", "--input", str(path)]) == 2
+        assert "duplicate column 'actual'" in capsys.readouterr().err
 
     def test_internal_failure_maps_to_exit_4(self, predictions_csv, monkeypatch, capsys):
         from rroc import RrocError

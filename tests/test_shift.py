@@ -192,9 +192,9 @@ class TestOptimalConstantShift:
             p = over_under(e + s)
             match = [
                 k
-                for k, v in enumerate(curve.interior, start=1)
-                if p.over == pytest.approx(v.over, abs=1e-9)
-                and p.under == pytest.approx(v.under, abs=1e-9)
+                for k, (over, under) in enumerate(zip(curve.over, curve.under), start=1)
+                if p.over == pytest.approx(over, abs=1e-9)
+                and p.under == pytest.approx(under, abs=1e-9)
             ]
             assert match
             # the bracketing segment slopes straddle the isometric slope
@@ -301,7 +301,8 @@ class TestCostCurve:
         cc = cost_curve(e, OptimalConstantShift(), np.linspace(0, 1, 21))
         for a, loss in zip(cc.alphas, cc.losses):
             vertex_min = min(
-                total_loss(RrocPoint(v.over, v.under), float(a)) for v in curve.interior
+                total_loss(RrocPoint(o, u), float(a))
+                for o, u in zip(curve.over.tolist(), curve.under.tolist())
             )
             assert loss == pytest.approx(vertex_min / curve.n, rel=1e-12, abs=1e-12)
 
