@@ -13,8 +13,8 @@ horizontal ray.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -164,22 +164,46 @@ class HullPoint:
     vertex_index: Optional[int]
 
 
-@dataclass(frozen=True)
+def _read_only(column) -> np.ndarray:
+    column = np.asarray(column)
+    column.flags.writeable = False
+    return column
+
+
 class ConvexHull:
     """Upper-left convex frontier, ordered by increasing OVER.
 
-    The sequence starts at the (0, -inf) extreme and ends at (inf, 0); the
-    finite points in between are exactly the candidates that are loss-optimal
+    The finite frontier points are stored as read-only columns: ``over``,
+    ``under``, ``model_rank`` (an index into the sorted ``model_ids``) and
+    ``vertex_index`` (an index into the curve's ``distinct_vertices()``, -1
+    for point inputs). They are exactly the candidates that are loss-optimal
     for some alpha (collinear frontier points are kept: they are optimal for
     the same alpha but are distinct achievable operating points). Every input
     point not on the hull is suboptimal for every alpha.
+
+    ``points`` adds the (0, -inf) and (inf, 0) extremes at either end. It and
+    ``finite_points`` are tuples of ``HullPoint``, built once on first access.
     """
 
-    points: tuple
+    def __init__(self, over, under, model_rank, vertex_index, model_ids):
+        self.over = _read_only(over)
+        self.under = _read_only(under)
+        self.model_rank = _read_only(model_rank)
+        self.vertex_index = _read_only(vertex_index)
+        self.model_ids = tuple(model_ids)
 
-    @property
+    @cached_property
     def finite_points(self) -> tuple:
-        return self.points[1:-1]
+        return tuple(
+            HullPoint(RrocPoint(o, u), self.model_ids[r], None if k < 0 else k)
+            for o, u, r, k in zip(self.over.tolist(), self.under.tolist(),
+                                  self.model_rank.tolist(), self.vertex_index.tolist())
+        )
+
+    @cached_property
+    def points(self) -> tuple:
+        return (HullPoint(UNDER_EXTREME, None, None), *self.finite_points,
+                HullPoint(OVER_EXTREME, None, None))
 
 
 HullInput = Union[RrocPoint, RrocCurve]
@@ -200,8 +224,15 @@ def _candidates(inputs: Dict[str, HullInput]):
                 raise DataError(f"input point for {model_id!r} must be finite")
             ov, un, index = np.array([item.over]), np.array([item.under]), np.array([-1])
         elif isinstance(item, RrocCurve):
-            keep = distinct_mask(item.over, item.under)
-            ov, un = item.over[keep], item.under[keep]
+            ov, un = item.over, item.under
+            if not (ov.size and np.isfinite(ov).all() and np.isfinite(un).all()
+                    and (ov >= 0.0).all() and (un <= 0.0).all()):
+                raise DataError(
+                    f"curve vertices for {model_id!r} must be present and finite, "
+                    f"with over >= 0 and under <= 0"
+                )
+            keep = distinct_mask(ov, un)
+            ov, un = ov[keep], un[keep]
             index = np.arange(ov.size)
         else:
             raise DataError(f"unsupported hull input for {model_id!r}: {type(item).__name__}")
@@ -223,8 +254,7 @@ def convex_hull(inputs: Dict[str, HullInput]) -> ConvexHull:
     one. A monotone-chain scan over the survivors then removes a point already
     on the chain when it falls strictly below the chord to the incoming point
     (relative epsilon ``COLLINEAR_EPS``), so exactly-collinear frontier points
-    survive. The symbolic extremes are spliced on afterwards as the
-    half-infinite rays.
+    survive. The symbolic extremes are implied as the half-infinite rays.
     """
     if not inputs:
         raise DataError("need at least one point or curve")
@@ -248,11 +278,7 @@ def convex_hull(inputs: Dict[str, HullInput]) -> ConvexHull:
         chain.append(j)
 
     picked = survivors[chain]
-    points = [HullPoint(UNDER_EXTREME, None, None)]
-    for j, r, k in zip(chain, rank[picked].tolist(), index[picked].tolist()):
-        points.append(HullPoint(RrocPoint(xs[j], ys[j]), model_ids[r], None if k < 0 else k))
-    points.append(HullPoint(OVER_EXTREME, None, None))
-    return ConvexHull(points=tuple(points))
+    return ConvexHull(ov[picked], un[picked], rank[picked], index[picked], model_ids)
 
 
 @dataclass(frozen=True)
@@ -270,17 +296,35 @@ class DominanceRegion:
     point: RrocPoint
 
 
-@dataclass(frozen=True)
 class DominanceMap:
-    """Partition of alpha in [0, 1] into dominance regions."""
+    """Partition of alpha in [0, 1] into dominance regions.
 
-    regions: tuple
+    Stored as read-only columns ``alpha_low``, ``alpha_high`` and
+    ``hull_row``, the row of ``hull`` optimal on each region. ``regions`` is
+    the tuple of ``DominanceRegion``, built once on first access.
+    """
+
+    def __init__(self, alpha_low, alpha_high, hull_row, hull: ConvexHull):
+        self.alpha_low = _read_only(alpha_low)
+        self.alpha_high = _read_only(alpha_high)
+        self.hull_row = _read_only(hull_row)
+        self.hull = hull
+
+    @cached_property
+    def regions(self) -> tuple:
+        h = self.hull
+        rows = self.hull_row
+        return tuple(
+            DominanceRegion(low, high, h.model_ids[r], RrocPoint(o, u))
+            for low, high, r, o, u in zip(self.alpha_low.tolist(), self.alpha_high.tolist(),
+                                          h.model_rank[rows].tolist(), h.over[rows].tolist(),
+                                          h.under[rows].tolist())
+        )
 
     def model_at(self, alpha: float) -> DominanceRegion:
         # Region highs strictly increase to 1 and each region owns its high
         # end, so the covering region is the first whose high is >= alpha.
-        highs = [r.alpha_high for r in self.regions]
-        return self.regions[bisect_left(highs, _alpha_of(alpha))]
+        return self.regions[int(np.searchsorted(self.alpha_high, _alpha_of(alpha), "left"))]
 
 
 def dominance_map(inputs: Union[ConvexHull, Dict[str, HullInput]]) -> DominanceMap:
@@ -292,21 +336,18 @@ def dominance_map(inputs: Union[ConvexHull, Dict[str, HullInput]]) -> DominanceM
     segment slopes decrease along the hull, so their alphas increase.
     Collinear hull points produce empty intervals, which are dropped (they are
     optimal only at the single shared alpha, where the tie-break prefers the
-    lower-OVER point).
+    lower-OVER point): the first interval is always kept, and a later one when
+    its high is above every earlier high.
     """
     hull = inputs if isinstance(inputs, ConvexHull) else convex_hull(inputs)
-    finite = hull.finite_points
-    ov = np.array([hp.point.over for hp in finite])
-    un = np.array([hp.point.under for hp in finite])
+    ov, un = hull.over, hull.under
     # Hull overs strictly increase, so no segment is vertical.
-    crossovers = (1.0 / (1.0 + np.diff(un) / np.diff(ov))).tolist()
-    regions: List[DominanceRegion] = []
-    low = 0.0
-    for hp, high in zip(finite, crossovers):
-        if high > low or not regions:
-            regions.append(DominanceRegion(low, high, hp.model_id, hp.point))
-            low = high
-    last = finite[-1]
-    if not regions or low < 1.0:
-        regions.append(DominanceRegion(low, 1.0, last.model_id, last.point))
-    return DominanceMap(regions=tuple(regions))
+    crossovers = 1.0 / (1.0 + np.diff(un) / np.diff(ov))
+    kept = np.ones(crossovers.size, dtype=bool)
+    kept[1:] = crossovers[1:] > np.maximum.accumulate(crossovers)[:-1]
+    rows = np.flatnonzero(kept)
+    highs = crossovers[rows]
+    if not rows.size or highs[-1] < 1.0:
+        rows = np.append(rows, ov.size - 1)
+        highs = np.append(highs, 1.0)
+    return DominanceMap(np.concatenate(([0.0], highs[:-1])), highs, rows, hull)

@@ -195,23 +195,25 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
     dominance_list = None
     if "hull" in wants or "dominance" in wants:
         hull = convex_hull(curves if "curves" in wants else points)
+        ids = hull.model_ids
         if "hull" in wants:
             hull_dict = {
                 "level": "curves" if "curves" in wants else "points",
                 "points": [
-                    {**_point_dict(hp.point, scale), "model": hp.model_id, "vertex_index": hp.vertex_index}
-                    for hp in hull.finite_points
+                    {"over": o, "under": u, "model": ids[r], "vertex_index": None if k < 0 else k}
+                    for o, u, r, k in zip((hull.over / scale).tolist(), (hull.under / scale).tolist(),
+                                          hull.model_rank.tolist(), hull.vertex_index.tolist())
                 ],
             }
         if "dominance" in wants:
+            dm = dominance_map(hull)
+            rows = dm.hull_row
             dominance_list = [
-                {
-                    "alpha_low": r.alpha_low,
-                    "alpha_high": r.alpha_high,
-                    "model": r.model_id,
-                    "point": _point_dict(r.point, scale),
-                }
-                for r in dominance_map(hull).regions
+                {"alpha_low": low, "alpha_high": high, "model": ids[r], "point": {"over": o, "under": u}}
+                for low, high, r, o, u in zip(
+                    dm.alpha_low.tolist(), dm.alpha_high.tolist(), hull.model_rank[rows].tolist(),
+                    (hull.over[rows] / scale).tolist(), (hull.under[rows] / scale).tolist(),
+                )
             ]
 
     alpha_queries = None

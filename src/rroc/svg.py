@@ -2,7 +2,9 @@
 
 The RROC panel puts heaven (0, 0) in the upper left: OVER grows rightward,
 UNDER downward. Infinite rays (curve and hull extremes) are clipped at 1.15x
-the maximum finite coordinate. Density and cost panels are appended below
+the maximum finite coordinate. Curve and hull polylines are drawn at pixel
+resolution (see ``m4_indices``), so the document's size is bounded by the
+plot's width, not by n. Density and cost panels are appended below
 when the report carries that data.
 """
 
@@ -10,17 +12,22 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from .curve import distinct_mask
 from .errors import DataError
 from .report import EvaluationReport
 
-__all__ = ["render_svg", "PALETTE"]
+__all__ = ["render_svg", "m4_indices", "PALETTE", "MARKER_LIMIT"]
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
 PANEL_W, PANEL_H = 640, 480
 MARGIN = {"left": 64, "right": 160, "top": 36, "bottom": 44}
 CLIP_FACTOR = 1.15
+# A curve or hull layer with more points than this is drawn as its polyline
+# alone, without a marker per point.
+MARKER_LIMIT = 500
 
 
 def _fmt(x: float) -> str:
@@ -117,21 +124,59 @@ def _model_colors(model_ids):
     return {m: PALETTE[i % len(PALETTE)] for i, m in enumerate(model_ids)}
 
 
+def m4_indices(px, y) -> np.ndarray:
+    """Indices of the polyline points kept at pixel resolution, in order.
+
+    M4 (Jugel et al., "M4: A Visualization-Oriented Time Series Data
+    Aggregation", VLDB 2014): points are grouped into runs of equal
+    ``floor(px)``, and a run of more than four points keeps only its first,
+    last, minimum-y and maximum-y points, which draw the same pixels as the
+    whole run. Runs of at most four points are kept whole, so a polyline with
+    at most four points per pixel column comes back unchanged.
+    """
+    column = np.floor(np.asarray(px, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if column.size == 0:
+        return np.arange(0)
+    new_run = np.concatenate(([True], column[1:] != column[:-1]))
+    starts = np.flatnonzero(new_run)
+    sizes = np.diff(np.append(starts, column.size))
+    ends = starts + sizes - 1
+    keep = np.repeat(sizes <= 4, sizes)
+    # Sorted by run, then by y: each run keeps its place, its lowest y first.
+    by_y = np.lexsort((y, np.cumsum(new_run)))
+    for at in (starts, ends, by_y[starts], by_y[ends]):
+        keep[at] = True
+    return np.flatnonzero(keep)
+
+
+def _pixel_polyline(frame: _Frame, xs, ys, **style) -> str:
+    """``frame.polyline`` of the points ``m4_indices`` keeps."""
+    keep = m4_indices(frame.px(xs), ys)
+    return frame.polyline(zip(xs[keep].tolist(), ys[keep].tolist()), **style)
+
+
 def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None:
     models = report.models
     colors = _model_colors(models)
+    curves = {}
+    for model_id, entry in models.items():
+        vertices = entry.get("curve", {}).get("vertices")
+        if vertices:
+            curves[model_id] = (np.array([v["over"] for v in vertices]),
+                                np.array([v["under"] for v in vertices]))
+    hull_points = report.hull["points"] if report.hull else []
+    hull_over = np.array([p["over"] for p in hull_points])
+    hull_under = np.array([p["under"] for p in hull_points])
     xs, ys = [0.0], [0.0]
     for entry in models.values():
         if "point" in entry:
             xs.append(entry["point"]["over"])
             ys.append(entry["point"]["under"])
-        for v in entry.get("curve", {}).get("vertices", []):
-            xs.append(v["over"])
-            ys.append(v["under"])
-    if report.hull:
-        for hp in report.hull["points"]:
-            xs.append(hp["over"])
-            ys.append(hp["under"])
+    for over, under in (*curves.values(), (hull_over, hull_under)):
+        if over.size:
+            xs.append(float(over.max()))
+            ys.append(float(under.min()))
     x_max = max(max(xs), 1e-9) * CLIP_FACTOR
     y_min = min(min(ys), -1e-9) * CLIP_FACTOR
     frame = _Frame(0.0, x_max, y_min, 0.0, y_offset)
@@ -162,19 +207,22 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
 
     for model_id, entry in models.items():
         color = colors[model_id]
-        vertices = entry.get("curve", {}).get("vertices")
-        if vertices:
-            keep = distinct_mask([v["over"] for v in vertices], [v["under"] for v in vertices])
-            distinct = [v for v, k in zip(vertices, keep.tolist()) if k]
-            pts = [(distinct[0]["over"], frame.y0)]
-            pts += [(v["over"], v["under"]) for v in distinct]
-            pts.append((frame.x1, distinct[-1]["under"]))
-            out.append(frame.polyline(pts, stroke=color, stroke_width="1.5", class_="curve"))
-            for v in distinct:
-                out.append(
-                    f'<circle class="vertex" cx="{_fmt(frame.px(v["over"]))}" '
-                    f'cy="{_fmt(frame.py(v["under"]))}" r="3" fill="{color}"/>'
-                )
+        if model_id in curves:
+            over, under = curves[model_id]
+            keep = distinct_mask(over, under)
+            over, under = over[keep], under[keep]
+            out.append(_pixel_polyline(
+                frame,
+                np.concatenate(([over[0]], over, [frame.x1])),
+                np.concatenate(([frame.y0], under, [under[-1]])),
+                stroke=color, stroke_width="1.5", class_="curve",
+            ))
+            if over.size <= MARKER_LIMIT:
+                for x, y in zip(over.tolist(), under.tolist()):
+                    out.append(
+                        f'<circle class="vertex" cx="{_fmt(frame.px(x))}" '
+                        f'cy="{_fmt(frame.py(y))}" r="3" fill="{color}"/>'
+                    )
         if "point" in entry:
             px, py = frame.px(entry["point"]["over"]), frame.py(entry["point"]["under"])
             out.append(
@@ -182,12 +230,15 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
                 f'width="7" height="7" fill="{color}" stroke="#222"/>'
             )
 
-    if report.hull:
-        pts = [(p["over"], p["under"]) for p in report.hull["points"]]
-        if pts:
-            poly = [(pts[0][0], frame.y0), *pts, (frame.x1, pts[-1][1])]
-            out.append(frame.polyline(poly, stroke="#000", stroke_width="1.8", class_="hull"))
-            for x, y in pts:
+    if hull_over.size:
+        out.append(_pixel_polyline(
+            frame,
+            np.concatenate(([hull_over[0]], hull_over, [frame.x1])),
+            np.concatenate(([frame.y0], hull_under, [hull_under[-1]])),
+            stroke="#000", stroke_width="1.8", class_="hull",
+        ))
+        if hull_over.size <= MARKER_LIMIT:
+            for x, y in zip(hull_over.tolist(), hull_under.tolist()):
                 cx, cy = frame.px(x), frame.py(y)
                 out.append(
                     f'<path class="hull-point" stroke="#000" d="M {_fmt(cx - 3)} {_fmt(cy - 3)} '

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rroc import (
     DataError,
+    RrocCurve,
     RrocPoint,
     best_point_for_alpha,
     best_vertex_for_alpha,
@@ -263,6 +264,45 @@ class TestConvexHull:
     def test_empty_inputs_rejected(self):
         with pytest.raises(DataError):
             convex_hull({})
+
+    @pytest.mark.parametrize(
+        "over, under",
+        [
+            ([0.0, math.inf], [-1.0, 0.0]),
+            ([0.0, math.nan], [-1.0, 0.0]),
+            ([0.0, 1.0], [-1.0, 0.5]),
+            ([-1.0, 1.0], [-1.0, 0.0]),
+            ([], []),
+        ],
+        ids=["infinite", "nan", "positive-under", "negative-over", "empty"],
+    )
+    def test_invalid_curve_vertices_rejected_by_model(self, over, under):
+        zeros = [0] * len(over)
+        bad = RrocCurve(over, under, zeros, zeros, zeros, 2, "bad")
+        good = rroc_curve([0.5, -1.0], "good")
+        with pytest.raises(DataError, match="'bad'"):
+            convex_hull({"good": good, "bad": bad})
+
+    def test_columns_and_cached_views(self, errors):
+        curves = {m: rroc_curve(errors[m], m) for m in ("m1", "m2", "m3")}
+        hull = convex_hull(curves)
+        finite = hull.finite_points
+        assert finite is hull.finite_points
+        assert all(a is b for a, b in zip(hull.points[1:-1], finite))
+        assert len(hull.points) == len(finite) + 2
+        assert hull.over.tolist() == [hp.point.over for hp in finite]
+        assert hull.under.tolist() == [hp.point.under for hp in finite]
+        assert [hull.model_ids[r] for r in hull.model_rank.tolist()] == [hp.model_id for hp in finite]
+        assert hull.vertex_index.tolist() == [hp.vertex_index for hp in finite]
+        assert not hull.over.flags.writeable
+        point_hull = convex_hull({"a": RrocPoint(1.0, -2.0)})
+        assert point_hull.vertex_index.tolist() == [-1]
+        assert point_hull.finite_points[0].vertex_index is None
+        dm = dominance_map(hull)
+        assert dm.regions is dm.regions
+        assert dm.alpha_low.tolist() == [r.alpha_low for r in dm.regions]
+        assert dm.alpha_high.tolist() == [r.alpha_high for r in dm.regions]
+        assert [finite[k].point for k in dm.hull_row.tolist()] == [r.point for r in dm.regions]
 
 
 class TestDominance:

@@ -119,6 +119,36 @@ class TestRunPipeline:
         assert len(calls) == 1
         assert report.hull["points"] and report.dominance
 
+    def test_no_object_per_hull_point_or_region(self, monkeypatch):
+        from rroc import DominanceRegion, HullPoint, RrocPoint
+        from rroc.data import Dataset
+
+        rng = np.random.default_rng(7)
+        actual = rng.normal(0.0, 1.0, 2000)
+        dataset = Dataset(actual, {
+            f"m{i}": actual + rng.normal(0.1 * i, 1 + 0.2 * i, actual.size) for i in range(3)
+        })
+        made = Counter()
+
+        def counting(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                made[cls.__name__] += 1
+                original(self, *args, **kwargs)
+
+            return init
+
+        with monkeypatch.context() as patch:
+            for cls in (HullPoint, DominanceRegion, RrocPoint):
+                patch.setattr(cls, "__init__", counting(cls))
+            report = run(RunConfig(outputs=("points", "curves", "hull", "dominance"),
+                                   reproducible=True), dataset)
+        assert len(report.hull["points"]) > 1000 and len(report.dominance) > 1000
+        assert made["HullPoint"] == 0 and made["DominanceRegion"] == 0
+        # The only points made are the models' own (OVER, UNDER) points.
+        assert made["RrocPoint"] <= 2 * len(dataset.model_ids)
+
     def test_models_analyzed_in_order_in_the_callers_thread(self, predictions_csv, monkeypatch):
         import rroc.report
 
