@@ -43,6 +43,8 @@ def generate_synthetic(mu: float, sigma: float, n: int, model: str, seed: int) -
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model!r} (choose from {', '.join(MODEL_KINDS)})")
     rng = np.random.default_rng(seed)

@@ -207,7 +207,10 @@ class TestRunPipeline:
 
 
 def dense_error_density(errors, points=256):
-    """Reference: error_density as one grid-by-n kernel matrix (memory O(256 n))."""
+    """Reference: error_density as the exact Gaussian kernel sum at every grid point.
+
+    Each grid row sums its own n kernel terms, so memory stays O(n).
+    """
     e = np.asarray(errors, dtype=float)
     n = e.size
     q75, q25 = np.percentile(e, [75, 25])
@@ -217,17 +220,71 @@ def dense_error_density(errors, points=256):
     if h <= 0:
         h = max(1e-3 * max(abs(float(e[0])), 1.0), 1e-12)
     xs = np.linspace(e.min() - 3 * h, e.max() + 3 * h, points)
-    z = (xs[:, None] - e[None, :]) / h
-    density = np.exp(-0.5 * z * z).sum(axis=1) / (n * h * np.sqrt(2 * np.pi))
-    return xs, density
+    sums = np.array([np.exp(-0.5 * ((x - e) / h) ** 2).sum() for x in xs])
+    return xs, sums / (n * h * np.sqrt(2 * np.pi))
+
+
+def density_errors(kind):
+    """Named error vectors; an int names normal errors of that length."""
+    rng = np.random.default_rng(11)
+    if isinstance(kind, int):
+        return np.random.default_rng(kind).normal(0.3, 2.0, kind)
+    return {
+        "cauchy-20000": lambda: rng.standard_cauchy(20_000),
+        "outlier-1e6": lambda: np.append(rng.normal(0.0, 1.0, 10_000), 1e6),
+        "normal-1e4": lambda: rng.normal(0.0, 1.0, 10_000),
+        "normal-1e5": lambda: rng.normal(0.0, 1.0, 100_000),
+        "lattice": lambda: rng.integers(-3, 4, 20_000).astype(float),
+        "two-point": lambda: np.repeat([0.0, 1.0], 5_000),
+        "bimodal": lambda: np.concatenate([rng.normal(-3.0, 0.5, 6_000), rng.normal(2.0, 1.0, 4_000)]),
+        "uniform": lambda: rng.uniform(-1.0, 1.0, 10_000),
+        "scaled-1e150": lambda: rng.normal(0.0, 1.0, 10_000) * 1e150,
+        "scaled-1e-300": lambda: rng.normal(0.0, 1.0, 10_000) * 1e-300,
+        "offset-1e9": lambda: 1e9 + rng.normal(0.0, 1e-4, 5_000),
+    }[kind]()
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Sizes passed to numpy.fft.rfft while the test runs: the binned path's trace."""
+    calls = []
+    rfft = np.fft.rfft
+
+    def counting(a, n=None, *args, **kwargs):
+        calls.append(n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return calls
+
+
+def assert_within_binning_tolerance(got, want):
+    """x bit-identical; density non-negative and within 1e-4 of the exact sum's peak."""
+    assert np.array_equal(got[0], want[0])
+    assert np.min(got[1]) >= 0.0
+    assert np.max(np.abs(got[1] - want[1])) <= 1e-4 * np.max(want[1])
 
 
 class TestErrorDensity:
-    @pytest.mark.parametrize("n", [1, 7, 1000, 5000])
-    def test_bit_identical_to_the_dense_kernel_sum(self, n):
-        e = np.random.default_rng(n).normal(0.3, 2.0, n)
+    # Up to the fine-grid size, on ranges too wide for a grid of 2**16 cells,
+    # and where float spacing moves the x values off the fine grid (near 1e9
+    # it is 1e-5 of the bandwidth; binning there is off by 4e-4 of the peak),
+    # the density is the exact kernel sum, bit for bit.
+    @pytest.mark.parametrize("n", [1, 7, 1000, "cauchy-20000", "outlier-1e6", "offset-1e9"])
+    def test_bit_identical_to_the_dense_kernel_sum(self, n, fft_calls):
+        e = density_errors(n)
         for got, want in zip(error_density(e), dense_error_density(e)):
             assert np.array_equal(got, want)
+        assert fft_calls == []
+
+    @pytest.mark.parametrize("kind", [
+        5000, "normal-1e4", "normal-1e5", "lattice", "two-point", "bimodal", "uniform",
+        "scaled-1e150", "scaled-1e-300",
+    ])
+    def test_binned_density_within_1e_4_of_the_peak(self, kind, fft_calls):
+        e = density_errors(kind)
+        assert_within_binning_tolerance(error_density(e), dense_error_density(e))
+        assert len(fft_calls) == 2 and max(fft_calls) <= 2**17
 
     def test_memory_stays_linear_in_n(self):
         e = np.random.default_rng(5).normal(0.0, 1.0, 100_000)
@@ -238,6 +295,33 @@ class TestErrorDensity:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    @given(
+        n=st.integers(3_000, 12_000),
+        scale=st.sampled_from([1e-320, 1e-300, 1.0, 1e150]),
+        ties=st.floats(0.0, 0.95),
+        outliers=st.integers(0, 3),
+        reach=st.sampled_from([10.0, 100.0, 1e4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hostile_inputs_above_the_fine_grid_size(self, n, scale, ties, outliers, reach, seed):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(0.0, 1.0, n)
+        tied = int(ties * n)
+        e[:tied] = np.round(e[:tied])
+        e[rng.choice(n, outliers, replace=False)] = reach * rng.choice([-1.0, 1.0], outliers)
+        e *= scale
+        # The report computes the density under this errstate and turns a
+        # non-finite result into its data error; nothing else may warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                got = error_density(e)
+        if np.all(np.isfinite(got[1])):
+            with np.errstate(all="ignore"):
+                want = dense_error_density(e)
+            assert_within_binning_tolerance(got, want)
 
 
 class TestSynthetic:
@@ -508,6 +592,14 @@ class TestCli:
         )
         assert code == 2
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["synth", "--n", "10", "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: configuration error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_errors_exit_with_one_data_error_line(self, tmp_path):
         # A separate interpreter, so a numpy warning would reach stderr.
         path = tmp_path / "overflow.csv"
@@ -530,6 +622,20 @@ class TestCli:
             warnings.simplefilter("error")
             code = main(["analyze", "--input", str(path), "--outputs", "points,density",
                          "--json", str(tmp_path / "r.json")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_large_subnormal_spread_is_one_data_error_line(self, tmp_path, capsys):
+        # 5,000 rows, above the density's fine-grid size, with errors 1e-320
+        # apart: the density overflows whichever path computes it.
+        path = tmp_path / "narrow.csv"
+        path.write_text("actual,predicted\n" + "".join(f"0,{i * 1e-320!r}\n" for i in range(5_000)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--input", str(path), "--outputs", "points,density",
+                         "--json", str(tmp_path / "r.json"), "--svg", str(tmp_path / "p.svg")])
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
