@@ -140,6 +140,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DataError, OSError) as exc:
         print(f"rroc: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError:
+        print("rroc: data error: out of memory; the input or --n is too large for this machine",
+              file=sys.stderr)
+        return EXIT_DATA
     except (RrocError, AssertionError, ArithmeticError) as exc:
         print(f"rroc: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

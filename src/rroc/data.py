@@ -3,7 +3,8 @@
 Input format: a UTF-8 CSV with a header row, an ``actual`` column and either
 a single ``predicted`` column or one ``predicted:<model-id>`` column per
 model. Decimal point notation, no locale handling. Unrelated columns are
-ignored. Row order is preserved.
+ignored. Row order is preserved. One leading byte order mark, as spreadsheet
+tools write it, is skipped.
 """
 
 from __future__ import annotations
@@ -88,11 +89,15 @@ def _model_columns(header) -> Dict[str, str]:
 
 
 def _read_text(path) -> str:
-    """The file decoded as UTF-8; undecodable bytes are a DataError naming the row."""
+    """The file decoded as UTF-8 without a leading byte order mark.
+
+    Undecodable bytes are a DataError naming the row and the byte offset in
+    the file, a byte order mark included.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         row = raw.count(b"\n", 0, exc.start)
         where = f"row {row}" if row else "header"

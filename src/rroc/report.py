@@ -11,7 +11,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analysis import best_point_for_alpha, convex_hull, dominance_map, isometric_through
+from .analysis import (
+    ConvexHull,
+    DominanceMap,
+    best_point_for_alpha,
+    convex_hull,
+    dominance_map,
+    isometric_through,
+)
 from .core import RrocPoint, _total_losses, metrics, over_under, total_loss
 from .curve import RrocCurve, aoc, distinct_mask, normalized_curve, rroc_curve
 from .data import Dataset, load_predictions
@@ -53,10 +60,16 @@ class RunConfig:
 class EvaluationReport:
     """Aggregate of metrics, curves, hull, dominance and cost curves.
 
-    Serializes losslessly to strict JSON: no NaN/Infinity tokens are ever
-    emitted, and the JSON is compact unless an indent is given. Curves carry
-    their interior vertices only and hulls their finite frontier points; the
-    symbolic extremes at (0, -inf) and (inf, 0) are implied by the schema.
+    Curves, hull and dominance are kept as columns: each model's ``curve``
+    entry is its reported ``RrocCurve`` (normalized under ``normalize``),
+    ``hull`` is the ``ConvexHull`` and ``dominance`` the ``DominanceMap``.
+    Hull and dominance coordinates stay on the raw scale; ``axis_scale``
+    divides them when the report is written or drawn.
+
+    Serializes losslessly to strict schema-v1 JSON: no NaN/Infinity tokens are
+    ever emitted, and the JSON is compact unless an indent is given. Curves
+    carry their interior vertices only and hulls their finite frontier points;
+    the symbolic extremes at (0, -inf) and (inf, 0) are implied by the schema.
     """
 
     schema_version: str
@@ -64,19 +77,119 @@ class EvaluationReport:
     config: dict
     n: int
     models: Dict[str, dict]
-    hull: Optional[dict] = None
-    dominance: Optional[List[dict]] = None
+    hull: Optional[ConvexHull] = None
+    dominance: Optional[DominanceMap] = None
     alpha_queries: Optional[List[dict]] = None
     generated_at: Optional[str] = None
+
+    @property
+    def axis_scale(self) -> float:
+        """Divisor of the reported RROC coordinates: n under ``normalize``, else 1."""
+        return float(self.n) if self.config["normalize"] else 1.0
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """The report as strict JSON; ``indent=2`` pretty-prints it.
 
-        Keys follow the field order; fields that are None are left out.
+        Keys follow the field order; fields that are None are left out. The
+        vertex, hull-point and dominance rows are written from the columns,
+        each float as ``repr`` writes it, as ``json`` does; a non-finite value
+        raises the ``ValueError`` of ``json.dumps(..., allow_nan=False)``.
         """
-        fields = {k: v for k, v in vars(self).items() if v is not None}
-        separators = None if indent is not None else (",", ":")
-        return json.dumps(fields, indent=indent, separators=separators, allow_nan=False) + "\n"
+        scale = self.axis_scale
+        hull_texts = None if self.hull is None else _hull_texts(self.hull, scale)
+        fields = []
+        for key, value in vars(self).items():
+            if value is None:
+                continue
+            if key == "models":
+                text = _object((m, _entry_json(entry)) for m, entry in value.items())
+            elif key == "hull":
+                level = "curves" if "curves" in self.config["outputs"] else "points"
+                text = _hull_json(value, hull_texts, level)
+            elif key == "dominance":
+                # The dominance points are hull rows: their texts are reused.
+                texts = hull_texts if value.hull is self.hull else _hull_texts(value.hull, scale)
+                text = _dominance_json(value, texts)
+            else:
+                text = _dumps(value)
+            fields.append((key, text))
+        compact = _object(fields, end="}\n")
+        if indent is None:
+            return compact
+        return json.dumps(json.loads(compact), indent=indent, allow_nan=False) + "\n"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
+def _object(items, end: str = "}") -> str:
+    """A JSON object from (key, JSON text) pairs, in order.
+
+    One join copies each text once: the report's texts run to megabytes.
+    """
+    pieces = []
+    for key, text in items:
+        pieces += (",", _dumps(key), ":", text)
+    pieces[:1] = ["{"]  # the first comma, or nothing in an empty object
+    pieces.append(end)
+    return "".join(pieces)
+
+
+def _texts(column) -> List[str]:
+    """Each value of a numeric column as ``json`` writes it.
+
+    A non-finite float is handed to ``json.dumps``, which raises its own
+    ``ValueError`` for it.
+    """
+    finite = np.isfinite(column)
+    if not finite.all():
+        _dumps(float(column[~finite][0]))
+    return list(map(repr, column.tolist()))
+
+
+def _entry_json(entry: dict) -> str:
+    return _object((k, _curve_json(v) if k == "curve" else _dumps(v)) for k, v in entry.items())
+
+
+def _curve_json(curve: RrocCurve) -> str:
+    distinct = int(np.count_nonzero(distinct_mask(curve.over, curve.under)))
+    columns = (curve.over, curve.under, curve.shift, curve.n_over, curve.n_under)
+    rows = ",".join([
+        f'{{"over":{o},"under":{u},"shift":{s},"n_over":{a},"n_under":{b}}}'
+        for o, u, s, a, b in zip(*map(_texts, columns))
+    ])
+    return f'{{"normalized":{_dumps(curve.normalized)},"distinct_vertex_count":{distinct},"vertices":[{rows}]}}'
+
+
+def _hull_texts(hull: ConvexHull, scale: float):
+    """(over, under, model) texts of each hull row, coordinates divided by scale."""
+    ids = [_dumps(m) for m in hull.model_ids]
+    return _texts(hull.over / scale), _texts(hull.under / scale), [ids[r] for r in hull.model_rank.tolist()]
+
+
+def _hull_json(hull: ConvexHull, texts, level: str) -> str:
+    index = ["null" if k < 0 else k for k in hull.vertex_index.tolist()]
+    rows = ",".join([
+        f'{{"over":{o},"under":{u},"model":{m},"vertex_index":{k}}}'
+        for o, u, m, k in zip(*texts, index)
+    ])
+    return f'{{"level":{_dumps(level)},"points":[{rows}]}}'
+
+
+def _dominance_json(dm: DominanceMap, texts) -> str:
+    over, under, model = texts
+    high = _texts(dm.alpha_high)
+    # dominance_map makes each region's low the previous region's high.
+    if dm.alpha_low.tobytes() == np.concatenate(([0.0], dm.alpha_high[:-1])).tobytes():
+        low = ["0.0", *high[:-1]]
+    else:
+        low = _texts(dm.alpha_low)
+    rows = ",".join([
+        f'{{"alpha_low":{a},"alpha_high":{b},"model":{model[r]},"point":{{"over":{over[r]},"under":{under[r]}}}}}'
+        for a, b, r in zip(low, high, dm.hull_row.tolist())
+    ])
+    return f"[{rows}]"
 
 
 def error_density(errors):
@@ -180,16 +293,7 @@ def _analyze_model(
     if "points" in wants:
         entry["point"] = _point_dict(point, scale)
     if "curves" in wants:
-        reported = normalized_curve(curve) if config.normalize else curve
-        columns = (reported.over, reported.under, reported.shift, reported.n_over, reported.n_under)
-        entry["curve"] = {
-            "normalized": reported.normalized,
-            "distinct_vertex_count": int(np.count_nonzero(distinct_mask(reported.over, reported.under))),
-            "vertices": [
-                {"over": o, "under": u, "shift": s, "n_over": a, "n_under": b}
-                for o, u, s, a, b in zip(*(c.tolist() for c in columns))
-            ],
-        }
+        entry["curve"] = normalized_curve(curve) if config.normalize else curve
     if "cost" in wants:
         grid = default_alpha_grid()
         # Per example, the unshifted model costs its point's loss and the
@@ -229,31 +333,13 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
         models[m], points[m], curves[m] = _analyze_model(m, dataset.errors(m), config)
 
     wants = set(config.outputs)
-    scale = float(dataset.n) if config.normalize else 1.0
-    hull_dict = None
-    dominance_list = None
+    hull = dominance = None
     if "hull" in wants or "dominance" in wants:
-        hull = convex_hull(curves if "curves" in wants else points)
-        ids = hull.model_ids
+        built = convex_hull(curves if "curves" in wants else points)
         if "hull" in wants:
-            hull_dict = {
-                "level": "curves" if "curves" in wants else "points",
-                "points": [
-                    {"over": o, "under": u, "model": ids[r], "vertex_index": None if k < 0 else k}
-                    for o, u, r, k in zip((hull.over / scale).tolist(), (hull.under / scale).tolist(),
-                                          hull.model_rank.tolist(), hull.vertex_index.tolist())
-                ],
-            }
+            hull = built
         if "dominance" in wants:
-            dm = dominance_map(hull)
-            rows = dm.hull_row
-            dominance_list = [
-                {"alpha_low": low, "alpha_high": high, "model": ids[r], "point": {"over": o, "under": u}}
-                for low, high, r, o, u in zip(
-                    dm.alpha_low.tolist(), dm.alpha_high.tolist(), hull.model_rank[rows].tolist(),
-                    (hull.over[rows] / scale).tolist(), (hull.under[rows] / scale).tolist(),
-                )
-            ]
+            dominance = dominance_map(built)
 
     alpha_queries = None
     if config.alphas:
@@ -282,8 +368,8 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
         config=asdict(config),
         n=dataset.n,
         models=models,
-        hull=hull_dict,
-        dominance=dominance_list,
+        hull=hull,
+        dominance=dominance,
         alpha_queries=alpha_queries,
         generated_at=None if config.reproducible else time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )

@@ -34,8 +34,17 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+# XML 1.0 allows no C0 control but tab, newline and carriage return, no
+# surrogate and neither U+FFFE nor U+FFFF; each becomes U+FFFD.
+_ESCAPES = {
+    **dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000), 0xFFFE, 0xFFFF],
+                    "\ufffd"),
+    ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;",
+}
+
+
 def _esc(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_ESCAPES)
 
 
 class _Frame:
@@ -159,15 +168,12 @@ def _pixel_polyline(frame: _Frame, xs, ys, **style) -> str:
 def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None:
     models = report.models
     colors = _model_colors(models)
-    curves = {}
-    for model_id, entry in models.items():
-        vertices = entry.get("curve", {}).get("vertices")
-        if vertices:
-            curves[model_id] = (np.array([v["over"] for v in vertices]),
-                                np.array([v["under"] for v in vertices]))
-    hull_points = report.hull["points"] if report.hull else []
-    hull_over = np.array([p["over"] for p in hull_points])
-    hull_under = np.array([p["under"] for p in hull_points])
+    curves = {m: (e["curve"].over, e["curve"].under) for m, e in models.items()
+              if "curve" in e and e["curve"].over.size}
+    n_scale = report.axis_scale
+    hull = report.hull
+    hull_over = np.zeros(0) if hull is None else hull.over / n_scale
+    hull_under = np.zeros(0) if hull is None else hull.under / n_scale
     xs, ys = [0.0], [0.0]
     for entry in models.values():
         if "point" in entry:
@@ -193,7 +199,6 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
     # Isometrics of the queried operating conditions, behind the data. Levels
     # and intercepts are stored on the raw scale; dividing both axes by n
     # keeps slopes and divides intercepts by n.
-    n_scale = float(report.n) if normalized else 1.0
     for q in report.alpha_queries or []:
         iso = q["isometric"]
         if iso["slope"] is None:

@@ -74,6 +74,23 @@ class TestLoadPredictions:
         with pytest.raises(DataError, match="row 2: invalid UTF-8"):
             load_predictions(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        data = b"actual,predicted:a,predicted:b\n1.0,2.0,0.5\n-3.0,-2.5,1e-3\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(data)
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        want, got = load_predictions(plain), load_predictions(marked)
+        assert got.model_ids == want.model_ids == ["a", "b"]
+        assert got.actual.tobytes() == want.actual.tobytes()
+        for m in want.model_ids:
+            assert got.predicted[m].tobytes() == want.predicted[m].tobytes()
+
+    def test_invalid_byte_after_a_byte_order_mark_reports_its_file_offset(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfactual,predicted\n1.0,2.0\xff\n")
+        with pytest.raises(DataError, match="row 1: invalid UTF-8 byte at offset 27$"):
+            load_predictions(path)
+
     def test_extra_cells_report_row(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("actual,predicted\n1.0,2.0\n1.0,2.5,3.0\n")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,16 +9,21 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
+import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from rroc import DataError, RunConfig, error_density, render_svg, run
 from rroc.cli import main
+from rroc.curve import distinct_mask
+from rroc.data import Dataset
 from rroc.errors import ConfigError
 from rroc.report import OUTPUT_KINDS
 from rroc.synth import generate_synthetic
@@ -28,14 +34,19 @@ def analyze(predictions_csv, **kwargs):
     return run(RunConfig(input=str(predictions_csv), **kwargs))
 
 
+def decoded(report):
+    """The report as its JSON reads back, with the top-level fields as attributes."""
+    return SimpleNamespace(**json.loads(report.to_json()))
+
+
 class TestRunPipeline:
     def test_point_level_hull_excludes_m2(self, predictions_csv):
-        report = analyze(predictions_csv, outputs=("points", "hull"))
+        report = decoded(analyze(predictions_csv, outputs=("points", "hull")))
         assert report.hull["level"] == "points"
         assert [p["model"] for p in report.hull["points"]] == ["m1", "m3"]
 
     def test_curve_level_hull_provenance(self, predictions_csv):
-        report = analyze(predictions_csv, outputs=("points", "curves", "hull"))
+        report = decoded(analyze(predictions_csv, outputs=("points", "curves", "hull")))
         assert report.hull["level"] == "curves"
         assert len(report.hull["points"]) == 12
         assert Counter(p["model"] for p in report.hull["points"]) == {
@@ -54,7 +65,7 @@ class TestRunPipeline:
         assert query["isometric"]["intercept"] == pytest.approx(-3.82275, abs=5e-4)
 
     def test_normalized_coordinates(self, predictions_csv):
-        report = analyze(predictions_csv, normalize=True)
+        report = decoded(analyze(predictions_csv, normalize=True))
         point = report.models["m1"]["point"]
         assert point["over"] == pytest.approx(0.2569, abs=5e-5)
         assert point["under"] == pytest.approx(-0.5676, abs=5e-5)
@@ -78,7 +89,7 @@ class TestRunPipeline:
         assert min(density["density"]) >= 0.0
 
     def test_dominance_in_report(self, predictions_csv):
-        report = analyze(predictions_csv, outputs=("points", "dominance"))
+        report = decoded(analyze(predictions_csv, outputs=("points", "dominance")))
         regions = report.dominance
         assert regions[0]["alpha_low"] == 0.0
         assert regions[-1]["alpha_high"] == 1.0
@@ -115,12 +126,12 @@ class TestRunPipeline:
 
         monkeypatch.setattr(rroc.analysis, "convex_hull", counting)
         monkeypatch.setattr(rroc.report, "convex_hull", counting)
-        report = analyze(predictions_csv, outputs=("points", "curves", "hull", "dominance"))
+        report = decoded(analyze(predictions_csv, outputs=("points", "curves", "hull", "dominance")))
         assert len(calls) == 1
         assert report.hull["points"] and report.dominance
 
     def test_no_object_per_hull_point_or_region(self, monkeypatch):
-        from rroc import DominanceRegion, HullPoint, RrocPoint
+        from rroc import ConvexHull, DominanceMap, DominanceRegion, HullPoint, RrocCurve, RrocPoint
         from rroc.data import Dataset
 
         rng = np.random.default_rng(7)
@@ -142,8 +153,11 @@ class TestRunPipeline:
         with monkeypatch.context() as patch:
             for cls in (HullPoint, DominanceRegion, RrocPoint):
                 patch.setattr(cls, "__init__", counting(cls))
-            report = run(RunConfig(outputs=("points", "curves", "hull", "dominance"),
-                                   reproducible=True), dataset)
+            columns = run(RunConfig(outputs=("points", "curves", "hull", "dominance"),
+                                    reproducible=True), dataset)
+            report = decoded(columns)
+        assert isinstance(columns.hull, ConvexHull) and isinstance(columns.dominance, DominanceMap)
+        assert all(isinstance(entry["curve"], RrocCurve) for entry in columns.models.values())
         assert len(report.hull["points"]) > 1000 and len(report.dominance) > 1000
         assert made["HullPoint"] == 0 and made["DominanceRegion"] == 0
         # The only points made are the models' own (OVER, UNDER) points.
@@ -204,6 +218,125 @@ class TestRunPipeline:
     def test_alpha_out_of_range_rejected(self, predictions_csv):
         with pytest.raises(ConfigError):
             RunConfig(input=str(predictions_csv), alphas=(1.5,))
+
+
+def reference_json(report, indent=None):
+    """Reference encoder: the report's fields as plain dicts and lists, then one json.dumps.
+
+    The curve, hull and dominance rows are built as the report built them
+    before it kept columns.
+    """
+    scale = float(report.n) if report.config["normalize"] else 1.0
+    fields = {k: v for k, v in vars(report).items() if v is not None}
+    models = {}
+    for model_id, entry in report.models.items():
+        entry = dict(entry)
+        if "curve" in entry:
+            c = entry["curve"]
+            columns = (c.over, c.under, c.shift, c.n_over, c.n_under)
+            entry["curve"] = {
+                "normalized": c.normalized,
+                "distinct_vertex_count": int(np.count_nonzero(distinct_mask(c.over, c.under))),
+                "vertices": [
+                    {"over": o, "under": u, "shift": s, "n_over": a, "n_under": b}
+                    for o, u, s, a, b in zip(*(column.tolist() for column in columns))
+                ],
+            }
+        models[model_id] = entry
+    fields["models"] = models
+    if report.hull is not None:
+        hull = report.hull
+        ids = hull.model_ids
+        fields["hull"] = {
+            "level": "curves" if "curves" in report.config["outputs"] else "points",
+            "points": [
+                {"over": o, "under": u, "model": ids[r], "vertex_index": None if k < 0 else k}
+                for o, u, r, k in zip((hull.over / scale).tolist(), (hull.under / scale).tolist(),
+                                      hull.model_rank.tolist(), hull.vertex_index.tolist())
+            ],
+        }
+    if report.dominance is not None:
+        dm = report.dominance
+        hull, rows = dm.hull, dm.hull_row
+        fields["dominance"] = [
+            {"alpha_low": low, "alpha_high": high, "model": hull.model_ids[r], "point": {"over": o, "under": u}}
+            for low, high, r, o, u in zip(
+                dm.alpha_low.tolist(), dm.alpha_high.tolist(), hull.model_rank[rows].tolist(),
+                (hull.over[rows] / scale).tolist(), (hull.under[rows] / scale).tolist(),
+            )
+        ]
+    separators = None if indent is not None else (",", ":")
+    return json.dumps(fields, indent=indent, separators=separators, allow_nan=False) + "\n"
+
+
+# Errors on the quarter lattice tie often; -0.0 - 0.0 keeps its sign.
+quarter_or_float = st.one_of(
+    st.integers(-8, 8).map(lambda k: k / 4), st.just(-0.0), st.floats(-1e3, 1e3),
+)
+model_id_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x01\x1f\n\t\u00e9\u2028\ufeff\U0001f600'),
+                                  st.characters()), min_size=1, max_size=6)
+
+
+@st.composite
+def report_inputs(draw):
+    n = draw(st.integers(1, 60))
+    ids = draw(st.lists(model_id_text, min_size=1, max_size=4, unique=True))
+    predicted = {m: draw(st.lists(quarter_or_float, min_size=n, max_size=n)) for m in ids}
+    outputs = draw(st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1, unique=True))
+    alphas = draw(st.lists(st.one_of(st.sampled_from([0.0, 1e-320, 1.0]), st.floats(0.0, 1.0)), max_size=3))
+    config = RunConfig(alphas=tuple(alphas), outputs=tuple(outputs), normalize=draw(st.booleans()),
+                       reproducible=True)
+    return config, Dataset(np.zeros(n), predicted)
+
+
+class TestJsonWriter:
+    @given(report_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_write_the_reference_bytes(self, inputs):
+        config, dataset = inputs
+        try:
+            report = run(config, dataset)
+        except DataError:
+            reject()  # the density of a subnormal spread overflows
+        assert report.to_json() == reference_json(report)
+        assert report.to_json(indent=2) == reference_json(report, indent=2)
+
+    def test_dominance_lows_written_from_their_own_column(self, predictions_csv):
+        from rroc import DominanceMap
+
+        report = analyze(predictions_csv, outputs=("points", "curves", "dominance"))
+        dm = report.dominance
+        lows = np.array([0.25, *dm.alpha_high[:-1]])
+        report = replace(report, dominance=DominanceMap(lows, dm.alpha_high, dm.hull_row, dm.hull))
+        assert report.to_json() == reference_json(report)
+
+    @pytest.mark.parametrize("column", ["curve.over", "curve.n_under", "hull.under", "dominance.alpha_high"])
+    def test_non_finite_column_raises_the_json_error(self, predictions_csv, column):
+        from rroc import ConvexHull, DominanceMap, RrocCurve
+
+        report = analyze(predictions_csv, outputs=("points", "curves", "hull", "dominance"), normalize=True)
+        with pytest.raises(ValueError) as strict:
+            json.dumps(math.nan, allow_nan=False)
+
+        def poisoned(values):
+            values = values.astype(float)
+            values[1] = math.nan
+            return values
+
+        c, h, d = report.models["m2"]["curve"], report.hull, report.dominance
+        if column == "curve.over":
+            report.models["m2"]["curve"] = RrocCurve(poisoned(c.over), c.under, c.shift, c.n_over, c.n_under, c.n)
+        elif column == "curve.n_under":
+            report.models["m2"]["curve"] = RrocCurve(c.over, c.under, c.shift, c.n_over, poisoned(c.n_under), c.n)
+        elif column == "hull.under":
+            report = replace(report, hull=ConvexHull(h.over, poisoned(h.under), h.model_rank, h.vertex_index,
+                                                     h.model_ids))
+        else:
+            report = replace(report, dominance=DominanceMap(d.alpha_low, poisoned(d.alpha_high), d.hull_row, h))
+        for indent in (None, 2):
+            with pytest.raises(ValueError) as got:
+                report.to_json(indent)
+            assert str(got.value) == str(strict.value)
 
 
 def dense_error_density(errors, points=256):
@@ -370,7 +503,7 @@ class TestSvg:
         rows = [0.1 + 0.2, 0.3, 1.0, -2.0, 0.7]
         path.write_text("actual,predicted\n" + "".join(f"0,{p!r}\n" for p in rows))
         report = analyze(path, outputs=("points", "curves"))
-        assert report.models["model"]["curve"]["distinct_vertex_count"] == 4
+        assert decoded(report).models["model"]["curve"]["distinct_vertex_count"] == 4
         assert render_svg(report).count('class="vertex"') == 4
 
     def test_points_and_diagonal(self, predictions_csv):
@@ -670,6 +803,43 @@ class TestCli:
         assert main(["analyze", "--input", str(path)]) == 2
         assert "duplicate column 'actual'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model_id", [
+        "a\x01b",
+        pytest.param("a\x00b", marks=pytest.mark.skipif(
+            sys.version_info < (3, 11), reason="the csv module reads NUL from Python 3.11 on")),
+    ])
+    def test_control_character_in_a_model_id(self, tmp_path, capsys, model_id):
+        path = tmp_path / "in.csv"
+        path.write_text(f"actual,predicted:{model_id}\n1,2\n2,1.5\n3,3.5\n", encoding="utf-8")
+        json_path, svg_path = tmp_path / "r.json", tmp_path / "p.svg"
+        code = main(["analyze", "--input", str(path), "--json", str(json_path), "--svg", str(svg_path)])
+        assert code == 0
+        assert list(json.loads(json_path.read_text(encoding="utf-8"))["models"]) == [model_id]
+        legend = [t.text for t in ET.parse(svg_path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert "a\ufffdb" in legend
+
+    @pytest.mark.parametrize("command, target", [
+        (["synth", "--n", "1000000000000", "--seed", "1"], "generate_synthetic"),
+        (["analyze"], "run"),
+    ])
+    def test_out_of_memory_is_one_data_error_line(self, predictions_csv, tmp_path, monkeypatch, capsys,
+                                                  command, target):
+        import rroc.cli as cli_module
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, target, exhausted)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = command + (["--out", str(out / "x.csv")] if command[0] == "synth" else
+                          ["--input", str(predictions_csv), "--json", str(out / "r.json"),
+                           "--svg", str(out / "p.svg")])
+        assert main(argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: data error: out of memory")
+        assert list(out.iterdir()) == []
+
     def test_internal_failure_maps_to_exit_4(self, predictions_csv, monkeypatch, capsys):
         from rroc import RrocError
         import rroc.cli as cli_module
@@ -743,7 +913,9 @@ class TestCliFuzz:
             if code == 0:
                 assert stderr.getvalue() == ""
                 json.loads(json_path.read_text(), parse_constant=_reject_constant)
-                assert svg_path.read_text().startswith("<svg")
+                svg = svg_path.read_text()
+                assert svg.startswith("<svg")
+                ET.fromstring(svg)
             else:
                 lines = stderr.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("rroc: ")

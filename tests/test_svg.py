@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -89,5 +90,5 @@ class TestRenderedBytes:
     def test_vertex_markers_up_to_the_limit(self, n, markers):
         report = run(RunConfig(outputs=("points", "curves"), reproducible=True),
                      synthetic_dataset(n, 1))
-        assert report.models["m0"]["curve"]["distinct_vertex_count"] == n
+        assert json.loads(report.to_json())["models"]["m0"]["curve"]["distinct_vertex_count"] == n
         assert render_svg(report).count('class="vertex"') == markers
