@@ -224,15 +224,8 @@ def _candidates(inputs: Dict[str, HullInput]):
                 raise DataError(f"input point for {model_id!r} must be finite")
             ov, un, index = np.array([item.over]), np.array([item.under]), np.array([-1])
         elif isinstance(item, RrocCurve):
-            ov, un = item.over, item.under
-            if not (ov.size and np.isfinite(ov).all() and np.isfinite(un).all()
-                    and (ov >= 0.0).all() and (un <= 0.0).all()):
-                raise DataError(
-                    f"curve vertices for {model_id!r} must be present and finite, "
-                    f"with over >= 0 and under <= 0"
-                )
-            keep = distinct_mask(ov, un)
-            ov, un = ov[keep], un[keep]
+            keep = distinct_mask(item.over, item.under)
+            ov, un = item.over[keep], item.under[keep]
             index = np.arange(ov.size)
         else:
             raise DataError(f"unsupported hull input for {model_id!r}: {type(item).__name__}")
@@ -299,16 +292,20 @@ class DominanceRegion:
 class DominanceMap:
     """Partition of alpha in [0, 1] into dominance regions.
 
-    Stored as read-only columns ``alpha_low``, ``alpha_high`` and
-    ``hull_row``, the row of ``hull`` optimal on each region. ``regions`` is
-    the tuple of ``DominanceRegion``, built once on first access.
+    Stored as read-only columns ``alpha_high`` and ``hull_row``, the row of
+    ``hull`` optimal on each region; each region starts where the one before
+    ends, so ``alpha_low`` is derived. ``regions`` is the tuple of
+    ``DominanceRegion``, built once on first access.
     """
 
-    def __init__(self, alpha_low, alpha_high, hull_row, hull: ConvexHull):
-        self.alpha_low = _read_only(alpha_low)
+    def __init__(self, alpha_high, hull_row, hull: ConvexHull):
         self.alpha_high = _read_only(alpha_high)
         self.hull_row = _read_only(hull_row)
         self.hull = hull
+
+    @cached_property
+    def alpha_low(self) -> np.ndarray:
+        return _read_only(np.concatenate(([0.0], self.alpha_high[:-1])))
 
     @cached_property
     def regions(self) -> tuple:
@@ -350,4 +347,4 @@ def dominance_map(inputs: Union[ConvexHull, Dict[str, HullInput]]) -> DominanceM
     if not rows.size or highs[-1] < 1.0:
         rows = np.append(rows, ov.size - 1)
         highs = np.append(highs, 1.0)
-    return DominanceMap(np.concatenate(([0.0], highs[:-1])), highs, rows, hull)
+    return DominanceMap(highs, rows, hull)

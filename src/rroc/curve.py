@@ -44,22 +44,28 @@ CONVEX_REL_TOL = 1e-9
 class RrocCurve:
     """Ordered vertices of a shift-swept model.
 
-    The interior vertices are stored as columns in sweep order: float arrays
-    ``over``, ``under`` and ``shift`` and int arrays ``n_over`` and
-    ``n_under``, taken with ``np.asarray`` (arrays are not copied) and made
-    read-only. The two extremes (0, -inf) and (inf, 0) are implied.
+    The interior vertices are the columns ``over``, ``under`` and ``shift`` in
+    sweep order, taken with ``np.asarray`` (arrays are not copied) and made
+    read-only; the extremes (0, -inf) and (inf, 0) are implied. ``n`` and the
+    read-only int columns ``n_over`` and ``n_under`` follow from the shifts.
+    The constructor is the one place a curve is checked.
     """
 
     __slots__ = ("over", "under", "shift", "n_over", "n_under", "n", "model_id", "normalized")
 
-    def __init__(self, over, under, shift, n_over, n_under, n: int,
-                 model_id: Optional[str] = None, normalized: bool = False):
-        if n < 1:
-            raise DataError("curve needs n >= 1 examples")
-        columns = [np.asarray(c) for c in (over, under, shift, n_over, n_under)]
+    def __init__(self, over, under, shift, *, model_id: Optional[str] = None, normalized: bool = False):
+        columns = [np.asarray(c) for c in (over, under, shift)]
         if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
             raise DataError("curve columns must be 1-D and of one length")
-        for name, column in zip(("over", "under", "shift", "n_over", "n_under"), columns):
+        over, under, shift = columns
+        if not (over.size and all(np.isfinite(c).all() for c in columns) and (over >= 0.0).all()
+                and (under <= 0.0).all() and (np.diff(shift) >= 0.0).all()):
+            raise DataError(f"curve of {model_id!r} needs a vertex, finite columns, over >= 0, "
+                            f"under <= 0 and nondecreasing shifts")
+        n = over.size
+        # An example with a smaller shift has a larger error: over at the vertex.
+        counts = (np.searchsorted(shift, shift, "left"), n - np.searchsorted(shift, shift, "right"))
+        for name, column in zip(("over", "under", "shift", "n_over", "n_under"), (*columns, *counts)):
             column.flags.writeable = False
             setattr(self, name, column)
         self.n = n
@@ -73,10 +79,6 @@ class RrocCurve:
                                np.concatenate(([-math.inf], self.under, [0.0]))))
         out.flags.writeable = False
         return out
-
-    def interior_arrays(self):
-        """(overs, unders) of the interior vertices as read-only float arrays."""
-        return self.over, self.under
 
     def distinct_vertices(self) -> np.ndarray:
         """Interior indices of the vertices left when coincident runs collapse.
@@ -159,9 +161,7 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
         w = np.arange(n - 1, 0, -1) * d
         unders = -np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
 
-    n_over = np.searchsorted(-es, -es, side="left")        # strictly larger errors
-    n_under = n - np.searchsorted(-es, -es, side="right")  # strictly smaller errors
-    return RrocCurve(overs, unders, -es, n_over, n_under, n, model_id)
+    return RrocCurve(overs, unders, -es, model_id=model_id)
 
 
 def segment_slopes(n: int) -> np.ndarray:
@@ -193,8 +193,6 @@ def aoc(curve: RrocCurve) -> float:
     ``population_variance(e) * n**2 / 2`` for the curve of ``e``.
     """
     ov, un = curve.over, curve.under
-    if not ov.size or not (np.isfinite(ov).all() and np.isfinite(un).all()):
-        raise DataError("AOC needs a curve with finite interior vertices")
     return float(np.sum(-(un[1:] + un[:-1]) / 2.0 * (ov[1:] - ov[:-1])))
 
 
@@ -242,13 +240,10 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
     """Divide both coordinates of every vertex by n.
 
     Makes curves of different dataset sizes comparable; the normalized AOC is
-    ``variance / 2``. Shifts and counts are metadata and stay untouched.
+    ``variance / 2``. Shifts, and so the counts, stay untouched.
     """
     n = curve.n
-    return RrocCurve(
-        curve.over / n, curve.under / n, curve.shift, curve.n_over, curve.n_under,
-        n, curve.model_id, normalized=True,
-    )
+    return RrocCurve(curve.over / n, curve.under / n, curve.shift, model_id=curve.model_id, normalized=True)
 
 
 def is_convex(curve: RrocCurve) -> bool:

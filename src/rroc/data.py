@@ -105,34 +105,41 @@ def _read_text(path) -> str:
 
 
 def load_predictions(path) -> Dataset:
-    """Parse a predictions CSV into a Dataset."""
+    """Parse a predictions CSV into a Dataset; a line the csv module rejects is a DataError."""
+    header, row_number = None, 0
     with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: no rows")
-        if ACTUAL_COLUMN not in reader.fieldnames:
-            raise ConfigError(f"{path}: missing required column {ACTUAL_COLUMN!r}")
-        if reader.fieldnames.count(ACTUAL_COLUMN) > 1:
-            raise ConfigError(f"{path}: duplicate column {ACTUAL_COLUMN!r} in header")
-        columns = _model_columns(reader.fieldnames)
-        if not columns:
-            raise ConfigError(
-                f"{path}: need a {PREDICTED_COLUMN!r} or {PREDICTED_PREFIX}<model-id> column"
-            )
-
-        actual = []
-        predicted = {model_id: [] for model_id in columns}
-        for row_number, row in enumerate(reader, start=1):
-            if None in row:
-                raise DataError(
-                    f"{path}: row {row_number}: {len(reader.fieldnames) + len(row[None])} cells "
-                    f"for {len(reader.fieldnames)} header columns"
+        try:
+            header = reader.fieldnames
+            if header is None:
+                raise DataError(f"{path}: no rows")
+            if ACTUAL_COLUMN not in header:
+                raise ConfigError(f"{path}: missing required column {ACTUAL_COLUMN!r}")
+            if header.count(ACTUAL_COLUMN) > 1:
+                raise ConfigError(f"{path}: duplicate column {ACTUAL_COLUMN!r} in header")
+            columns = _model_columns(header)
+            if not columns:
+                raise ConfigError(
+                    f"{path}: need a {PREDICTED_COLUMN!r} or {PREDICTED_PREFIX}<model-id> column"
                 )
-            actual.append(_parse_cell(row, ACTUAL_COLUMN, path, row_number))
-            for model_id, column in columns.items():
-                predicted[model_id].append(_parse_cell(row, column, path, row_number))
-        if not actual:
-            raise DataError(f"{path}: no rows")
+
+            actual = []
+            predicted = {model_id: [] for model_id in columns}
+            for row_number, row in enumerate(reader, start=1):
+                if None in row:
+                    raise DataError(
+                        f"{path}: row {row_number}: {len(header) + len(row[None])} cells "
+                        f"for {len(header)} header columns"
+                    )
+                actual.append(_parse_cell(row, ACTUAL_COLUMN, path, row_number))
+                for model_id, column in columns.items():
+                    predicted[model_id].append(_parse_cell(row, column, path, row_number))
+            if not actual:
+                raise DataError(f"{path}: no rows")
+        except csv.Error as exc:
+            # The reader failed on the header or on the row after the last one numbered.
+            where = "header" if header is None else f"row {row_number + 1}"
+            raise DataError(f"{path}: {where}: {exc}") from None
     return Dataset(actual=np.array(actual), predicted={k: np.array(v) for k, v in predicted.items()})
 
 

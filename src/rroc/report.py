@@ -20,7 +20,7 @@ from .analysis import (
     isometric_through,
 )
 from .core import RrocPoint, _total_losses, metrics, over_under, total_loss
-from .curve import RrocCurve, aoc, distinct_mask, normalized_curve, rroc_curve
+from .curve import RrocCurve, aoc, distinct_mask, rroc_curve
 from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError
 from .shift import _optimal_vertices, default_alpha_grid
@@ -61,10 +61,10 @@ class EvaluationReport:
     """Aggregate of metrics, curves, hull, dominance and cost curves.
 
     Curves, hull and dominance are kept as columns: each model's ``curve``
-    entry is its reported ``RrocCurve`` (normalized under ``normalize``),
-    ``hull`` is the ``ConvexHull`` and ``dominance`` the ``DominanceMap``.
-    Hull and dominance coordinates stay on the raw scale; ``axis_scale``
-    divides them when the report is written or drawn.
+    entry is the raw ``RrocCurve`` the hull was built from, ``hull`` is the
+    ``ConvexHull`` and ``dominance`` the ``DominanceMap``. All three stay on
+    the raw scale; ``axis_scale`` divides them when the report is written or
+    drawn.
 
     Serializes losslessly to strict schema-v1 JSON: no NaN/Infinity tokens are
     ever emitted, and the JSON is compact unless an indent is given. Curves
@@ -106,7 +106,8 @@ class EvaluationReport:
             if value is None:
                 continue
             if key == "models":
-                text = _object((m, _entry_json(entry)) for m, entry in value.items())
+                text = _object((m, _entry_json(entry, scale, self.config["normalize"]))
+                               for m, entry in value.items())
             elif key == "hull":
                 level = "curves" if "curves" in self.config["outputs"] else "points"
                 text = _hull_json(value, hull_texts, level)
@@ -152,18 +153,21 @@ def _texts(column) -> List[str]:
     return list(map(repr, column.tolist()))
 
 
-def _entry_json(entry: dict) -> str:
-    return _object((k, _curve_json(v) if k == "curve" else _dumps(v)) for k, v in entry.items())
+def _entry_json(entry: dict, scale: float, normalized: bool) -> str:
+    return _object((k, _curve_json(v, scale, normalized) if k == "curve" else _dumps(v))
+                   for k, v in entry.items())
 
 
-def _curve_json(curve: RrocCurve) -> str:
-    distinct = int(np.count_nonzero(distinct_mask(curve.over, curve.under)))
-    columns = (curve.over, curve.under, curve.shift, curve.n_over, curve.n_under)
+def _curve_json(curve: RrocCurve, scale: float, normalized: bool) -> str:
+    """A curve's JSON with its coordinates divided by scale."""
+    over, under = curve.over / scale, curve.under / scale
+    distinct = int(np.count_nonzero(distinct_mask(over, under)))
+    columns = (over, under, curve.shift, curve.n_over, curve.n_under)
     rows = ",".join([
         f'{{"over":{o},"under":{u},"shift":{s},"n_over":{a},"n_under":{b}}}'
         for o, u, s, a, b in zip(*map(_texts, columns))
     ])
-    return f'{{"normalized":{_dumps(curve.normalized)},"distinct_vertex_count":{distinct},"vertices":[{rows}]}}'
+    return f'{{"normalized":{_dumps(normalized)},"distinct_vertex_count":{distinct},"vertices":[{rows}]}}'
 
 
 def _hull_texts(hull: ConvexHull, scale: float):
@@ -255,28 +259,27 @@ def _binned_kernel_sums(e, xs, h):
     return np.maximum(sums[L:L + M:r], 0.0)
 
 
-def _point_dict(point: RrocPoint, scale: float) -> dict:
-    return {"over": point.over / scale, "under": point.under / scale}
-
-
 def _analyze_model(
     model_id: str, e: np.ndarray, config: RunConfig
 ) -> Tuple[dict, RrocPoint, RrocCurve]:
     """The report entry of one model, with its point and curve."""
     wants = set(config.outputs)
-    # Overflow is reported below as a data error, not as numpy warnings.
+    # Overflow is reported below as a data error, not as numpy warnings. The
+    # sums overflow first: while every e*e is finite, so are the curve's
+    # coordinates, and only its area can still overflow.
     with np.errstate(over="ignore", invalid="ignore"):
         m = metrics(e)
         point = over_under(e)
-        curve = rroc_curve(e, model_id=model_id)
-        area = aoc(curve)
-    scale = float(e.size) if config.normalize else 1.0
-
-    aggregates = (m.mae, m.mse, m.bias, m.variance, m.mmse, point.over, point.under, area)
-    if not all(math.isfinite(x) for x in aggregates):
+        sums = [m.mae, m.mse, m.bias, m.variance, m.mmse, point.over, point.under]
+        if all(map(math.isfinite, sums)):
+            curve = rroc_curve(e, model_id=model_id)
+            area = aoc(curve)
+            sums.append(area)
+    if not all(map(math.isfinite, sums)):
         raise DataError(
             f"model {model_id!r}: error sums overflow to non-finite values; rescale the input"
         )
+    scale = float(e.size) if config.normalize else 1.0
     entry: dict = {
         "metrics": {
             "mae": m.mae,
@@ -289,9 +292,9 @@ def _analyze_model(
         "normalized_aoc": area / curve.n**2,
     }
     if "points" in wants:
-        entry["point"] = _point_dict(point, scale)
+        entry["point"] = {"over": point.over / scale, "under": point.under / scale}
     if "curves" in wants:
-        entry["curve"] = normalized_curve(curve) if config.normalize else curve
+        entry["curve"] = curve
     if "cost" in wants:
         grid = default_alpha_grid()
         # Per example, the unshifted model costs its point's loss and the

@@ -159,8 +159,13 @@ def m4_indices(px, y) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _pixel_polyline(frame: _Frame, xs, ys, **style) -> str:
-    """``frame.polyline`` of the points ``m4_indices`` keeps."""
+def _frontier(frame: _Frame, over, under, **style) -> str:
+    """A curve or hull with its rays to the frame's edges, drawn at pixel resolution.
+
+    ``frame.polyline`` of the points ``m4_indices`` keeps.
+    """
+    xs = np.concatenate(([over[0]], over, [frame.x1]))
+    ys = np.concatenate(([frame.y0], under, [under[-1]]))
     keep = m4_indices(frame.px(xs), ys)
     return frame.polyline(zip(xs[keep].tolist(), ys[keep].tolist()), **style)
 
@@ -168,9 +173,9 @@ def _pixel_polyline(frame: _Frame, xs, ys, **style) -> str:
 def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None:
     models = report.models
     colors = _model_colors(models)
-    curves = {m: (e["curve"].over, e["curve"].under) for m, e in models.items()
-              if "curve" in e and e["curve"].over.size}
     n_scale = report.axis_scale
+    curves = {m: (e["curve"].over / n_scale, e["curve"].under / n_scale)
+              for m, e in models.items() if "curve" in e}
     hull = report.hull
     hull_over = np.zeros(0) if hull is None else hull.over / n_scale
     hull_under = np.zeros(0) if hull is None else hull.under / n_scale
@@ -216,12 +221,7 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
             over, under = curves[model_id]
             keep = distinct_mask(over, under)
             over, under = over[keep], under[keep]
-            out.append(_pixel_polyline(
-                frame,
-                np.concatenate(([over[0]], over, [frame.x1])),
-                np.concatenate(([frame.y0], under, [under[-1]])),
-                stroke=color, stroke_width="1.5", class_="curve",
-            ))
+            out.append(_frontier(frame, over, under, stroke=color, stroke_width="1.5", class_="curve"))
             if over.size <= MARKER_LIMIT:
                 for x, y in zip(over.tolist(), under.tolist()):
                     out.append(
@@ -236,12 +236,7 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
             )
 
     if hull_over.size:
-        out.append(_pixel_polyline(
-            frame,
-            np.concatenate(([hull_over[0]], hull_over, [frame.x1])),
-            np.concatenate(([frame.y0], hull_under, [hull_under[-1]])),
-            stroke="#000", stroke_width="1.8", class_="hull",
-        ))
+        out.append(_frontier(frame, hull_over, hull_under, stroke="#000", stroke_width="1.8", class_="hull"))
         if hull_over.size <= MARKER_LIMIT:
             for x, y in zip(hull_over.tolist(), hull_under.tolist()):
                 cx, cy = frame.px(x), frame.py(y)

@@ -226,7 +226,7 @@ def test_criterion_11_sweep_equivalence():
     for _ in range(1000):
         e = _uniform_vector(rng)
         curve = rroc_curve(e)
-        overs, unders = curve.interior_arrays()
+        overs, unders = curve.over, curve.under
         span = e.max() - e.min() + 1.0
         shifts = rng.uniform(-e.max() - span, -e.min() + span, 200)
         t = e[None, :] + shifts[:, None]
@@ -254,7 +254,7 @@ def test_criterion_12_convexity_and_slopes():
         curve = rroc_curve(e)
         n = curve.n
         c.check(is_convex(curve), f"n={n}: curve not convex")
-        ov, un = curve.interior_arrays()
+        ov, un = curve.over, curve.under
         measured = (un[1:] - un[:-1]) / (ov[1:] - ov[:-1])
         expected = (n - 1 - np.arange(n - 1)) / (np.arange(n - 1) + 1)
         ok = np.allclose(measured, expected, rtol=1e-9, atol=1e-9)

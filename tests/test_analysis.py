@@ -277,11 +277,8 @@ class TestConvexHull:
         ids=["infinite", "nan", "positive-under", "negative-over", "empty"],
     )
     def test_invalid_curve_vertices_rejected_by_model(self, over, under):
-        zeros = [0] * len(over)
-        bad = RrocCurve(over, under, zeros, zeros, zeros, 2, "bad")
-        good = rroc_curve([0.5, -1.0], "good")
         with pytest.raises(DataError, match="'bad'"):
-            convex_hull({"good": good, "bad": bad})
+            RrocCurve(over, under, [0] * len(over), model_id="bad")
 
     def test_columns_and_cached_views(self, errors):
         curves = {m: rroc_curve(errors[m], m) for m in ("m1", "m2", "m3")}

@@ -165,7 +165,7 @@ class TestSegmentGeometry:
     def test_measured_slopes_follow_the_ladder(self, values):
         curve = rroc_curve(values)
         n = curve.n
-        ov, un = curve.interior_arrays()
+        ov, un = curve.over, curve.under
         for i in range(n - 1):
             measured = (un[i + 1] - un[i]) / (ov[i + 1] - ov[i])
             expected = (n + 1 - (i + 2)) / (i + 1)  # interior segment i+2 of n+1
@@ -275,33 +275,58 @@ class TestConvexity:
             over=np.array([0.0, 1.0, 2.0]),
             under=np.array([-10.0, -9.5, -5.0]),   # slopes 0.5, then 4.5: inversion
             shift=np.array([-2.0, -1.0, 0.0]),
-            n_over=np.array([0, 1, 2]),
-            n_under=np.array([2, 1, 0]),
-            n=3,
         )
         assert not is_convex(curve)
 
 
 class TestCurveValidation:
     def test_aoc_needs_finite_interior(self):
-        curve = RrocCurve(
-            over=np.array([1.0]),
-            under=np.array([-math.inf]),
-            shift=np.array([0.0]),
-            n_over=np.array([0]),
-            n_under=np.array([1]),
-            n=1,
-        )
         with pytest.raises(DataError):
-            aoc(curve)
+            RrocCurve(over=np.array([1.0]), under=np.array([-math.inf]), shift=np.array([0.0]))
 
     def test_columns_of_different_lengths_rejected(self):
         with pytest.raises(DataError, match="one length"):
-            RrocCurve(np.zeros(3), np.zeros(2), np.zeros(3), np.zeros(3, int), np.zeros(3, int), n=3)
+            RrocCurve(np.zeros(3), np.zeros(2), np.zeros(3))
         with pytest.raises(DataError, match="1-D"):
-            RrocCurve(np.zeros((3, 1)), np.zeros(3), np.zeros(3), np.zeros(3, int), np.zeros(3, int), n=3)
+            RrocCurve(np.zeros((3, 1)), np.zeros(3), np.zeros(3))
 
     def test_list_columns_accepted(self):
-        curve = RrocCurve([0.0, 1.0], [-1.0, 0.0], [-1.0, 0.0], [0, 1], [1, 0], n=2)
+        curve = RrocCurve([0.0, 1.0], [-1.0, 0.0], [-1.0, 0.0])
         assert isinstance(curve.over, np.ndarray) and not curve.over.flags.writeable
         assert aoc(curve) == 0.5
+
+    def test_counts_are_derived_from_the_shifts(self):
+        curve = RrocCurve([0.0, 1.0, 1.0, 3.0], [-3.0, -1.0, -1.0, 0.0], [-2.0, -1.0, -1.0, 0.0])
+        assert curve.n == 4
+        assert (curve.n_over.tolist(), curve.n_under.tolist()) == ([0, 1, 1, 3], [3, 1, 1, 0])
+        assert not (curve.n_over.flags.writeable or curve.n_under.flags.writeable)
+        with pytest.raises(TypeError):
+            RrocCurve([0.0], [0.0], [0.0], [0], [0], 1)
+
+    # No vertex, a non-finite over, over < 0 and under > 0 are the cases of
+    # test_analysis.py::TestConvexHull::test_invalid_curve_vertices_rejected_by_model.
+    @pytest.mark.parametrize(
+        "over, under, shift",
+        [
+            ([0.0, 1.0], [math.nan, 0.0], [0.0, 1.0]),
+            ([0.0, 1.0], [-math.inf, 0.0], [0.0, 1.0]),
+            ([0.0, 1.0], [-1.0, 0.0], [math.nan, 1.0]),
+            ([0.0, 1.0], [-1.0, 0.0], [0.0, math.inf]),
+            ([0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]),
+        ],
+        ids=["nan-under", "inf-under", "nan-shift", "inf-shift", "decreasing-shift"],
+    )
+    def test_constructor_rejects_and_names_the_model(self, over, under, shift):
+        with pytest.raises(DataError, match="'bad'"):
+            RrocCurve(over, under, shift, model_id="bad")
+
+    @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.just(-0.0)),
+                    min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_direct_counts(self, values):
+        e = np.asarray(values, dtype=float)
+        curve = rroc_curve(e)
+        larger = [int(np.count_nonzero(e > -s)) for s in curve.shift.tolist()]
+        smaller = [int(np.count_nonzero(e < -s)) for s in curve.shift.tolist()]
+        for c in (curve, normalized_curve(curve)):
+            assert (c.n_over.tolist(), c.n_under.tolist()) == (larger, smaller)

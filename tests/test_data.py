@@ -91,6 +91,16 @@ class TestLoadPredictions:
         with pytest.raises(DataError, match="row 1: invalid UTF-8 byte at offset 27$"):
             load_predictions(path)
 
+    @pytest.mark.parametrize("where, text", [
+        ("row 2", "actual,predicted\n1,2\n1,{big}\n"),
+        ("header", "actual,predicted,{big}\n1,2,3\n"),
+    ], ids=["row", "header"])
+    def test_cell_over_the_csv_field_limit_reports_row(self, tmp_path, where, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text.format(big="9" * 140_000))
+        with pytest.raises(DataError, match=f"{where}: field larger than field limit"):
+            load_predictions(path)
+
     def test_extra_cells_report_row(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("actual,predicted\n1.0,2.0\n1.0,2.5,3.0\n")

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from rroc import DataError, RunConfig, error_density, render_svg, run
 from rroc.cli import main
-from rroc.curve import distinct_mask
+from rroc.curve import distinct_mask, normalized_curve
 from rroc.data import Dataset
 from rroc.errors import ConfigError
 from rroc.report import OUTPUT_KINDS
@@ -232,7 +232,7 @@ def reference_json(report, indent=None):
     for model_id, entry in report.models.items():
         entry = dict(entry)
         if "curve" in entry:
-            c = entry["curve"]
+            c = normalized_curve(entry["curve"]) if report.config["normalize"] else entry["curve"]
             columns = (c.over, c.under, c.shift, c.n_over, c.n_under)
             entry["curve"] = {
                 "normalized": c.normalized,
@@ -301,18 +301,9 @@ class TestJsonWriter:
         assert report.to_json() == reference_json(report)
         assert report.to_json(indent=2) == reference_json(report, indent=2)
 
-    def test_dominance_lows_written_from_their_own_column(self, predictions_csv):
-        from rroc import DominanceMap
-
-        report = analyze(predictions_csv, outputs=("points", "curves", "dominance"))
-        dm = report.dominance
-        lows = np.array([0.25, *dm.alpha_high[:-1]])
-        report = replace(report, dominance=DominanceMap(lows, dm.alpha_high, dm.hull_row, dm.hull))
-        assert report.to_json() == reference_json(report)
-
-    @pytest.mark.parametrize("column", ["curve.over", "curve.n_under", "hull.under", "dominance.alpha_high"])
+    @pytest.mark.parametrize("column", ["hull.under", "dominance.alpha_high"])
     def test_non_finite_column_raises_the_json_error(self, predictions_csv, column):
-        from rroc import ConvexHull, DominanceMap, RrocCurve
+        from rroc import ConvexHull, DominanceMap
 
         report = analyze(predictions_csv, outputs=("points", "curves", "hull", "dominance"), normalize=True)
         with pytest.raises(ValueError) as strict:
@@ -323,16 +314,12 @@ class TestJsonWriter:
             values[1] = math.nan
             return values
 
-        c, h, d = report.models["m2"]["curve"], report.hull, report.dominance
-        if column == "curve.over":
-            report.models["m2"]["curve"] = RrocCurve(poisoned(c.over), c.under, c.shift, c.n_over, c.n_under, c.n)
-        elif column == "curve.n_under":
-            report.models["m2"]["curve"] = RrocCurve(c.over, c.under, c.shift, c.n_over, poisoned(c.n_under), c.n)
-        elif column == "hull.under":
+        h, d = report.hull, report.dominance
+        if column == "hull.under":
             report = replace(report, hull=ConvexHull(h.over, poisoned(h.under), h.model_rank, h.vertex_index,
                                                      h.model_ids))
         else:
-            report = replace(report, dominance=DominanceMap(d.alpha_low, poisoned(d.alpha_high), d.hull_row, h))
+            report = replace(report, dominance=DominanceMap(poisoned(d.alpha_high), d.hull_row, h))
         for indent in (None, 2):
             with pytest.raises(ValueError) as got:
                 report.to_json(indent)
@@ -746,6 +733,28 @@ class TestCli:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
+
+    def test_overflowing_curve_names_the_model(self, tmp_path, capsys):
+        # Every error sum overflows before any curve coordinate does.
+        path = tmp_path / "overflow.csv"
+        path.write_text("actual,predicted\n0,1e308\n0,-1e308\n")
+        code = main(["analyze", "--input", str(path), "--json", str(tmp_path / "r.json")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "rroc: data error: model 'model': error sums overflow to non-finite values; rescale the input"
+        ]
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("text", ["actual,predicted\n1,{big}\n", "actual,predicted{big}\n1,2\n"],
+                             ids=["row", "header"])
+    def test_cell_over_the_csv_field_limit_is_one_data_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text.format(big="9" * 140_000))
+        code = main(["analyze", "--input", str(path), "--json", str(tmp_path / "r.json")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
+        assert not (tmp_path / "r.json").exists()
 
     def test_density_overflow_is_one_data_error_line(self, tmp_path, capsys):
         # Errors 1e-320 apart give a kernel density beyond the float range.

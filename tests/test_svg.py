@@ -64,12 +64,19 @@ class TestM4:
 
 class TestRenderedBytes:
     def test_small_reports_draw_the_same_bytes(self, predictions_csv, tmp_path):
-        # Both digests are of the documents drawn before pixel-resolution
-        # polylines and the marker limit: small reports must not change.
+        # The first and last digests are of the documents drawn before
+        # pixel-resolution polylines and the marker limit: small reports must
+        # not change.
         report = run(RunConfig(input=str(predictions_csv), outputs=ALL_OUTPUTS,
                                alphas=(0.0, 0.8), reproducible=True))
         assert sha256(render_svg(report)) == (
             "7775568dd3e45dd8c613e48062e0914962eeafeaf5b0a773b18b7ef3b6b754bd"
+        )
+        # Under --normalize the report divides its raw curves as it draws them.
+        report = run(RunConfig(input=str(predictions_csv), outputs=ALL_OUTPUTS,
+                               alphas=(0.0, 0.8), normalize=True, reproducible=True))
+        assert sha256(render_svg(report)) == (
+            "7df7e96fcd42efba3d61fe152a141242843b5c1260ebaa2ce6ca1857be062885"
         )
         path = tmp_path / "near_tie.csv"
         rows = [0.1 + 0.2, 0.3, 1.0, -2.0, 0.7]
