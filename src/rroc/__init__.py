@@ -42,6 +42,7 @@ from .curve import (
     distinct_mask,
     is_convex,
     normalized_curve,
+    over_under_at,
     rroc_curve,
     segment_alpha,
     segment_slopes,
@@ -69,7 +70,7 @@ __all__ = [
     "__version__",
     "OperatingCondition", "RrocPoint", "SummaryMetrics",
     "error_vector", "over_under", "metrics", "asymmetric_loss", "total_loss",
-    "RrocCurve", "rroc_curve", "segment_slopes", "segment_alpha", "aoc",
+    "RrocCurve", "rroc_curve", "over_under_at", "segment_slopes", "segment_alpha", "aoc",
     "aoc_brute_force", "default_shift_grid", "distinct_mask", "normalized_curve", "is_convex",
     "Isometric", "HybridSegment", "HullPoint", "ConvexHull",
     "DominanceRegion", "DominanceMap",

@@ -17,7 +17,7 @@ the single place the two conventions meet and they agree numerically.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "RrocCurve",
     "distinct_mask",
     "rroc_curve",
+    "over_under_at",
     "segment_slopes",
     "segment_alpha",
     "aoc",
@@ -162,6 +163,41 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
         unders = -np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
 
     return RrocCurve(overs, unders, -es, model_id=model_id)
+
+
+def over_under_at(curve: RrocCurve, shifts) -> Tuple[np.ndarray, np.ndarray]:
+    """OVER and UNDER of the shifted models ``m<s>``, read off the curve.
+
+    Between consecutive vertex shifts the same examples stay over- and
+    under-estimated, so both sums are linear in the shift there. With ``k``
+    the last vertex whose shift is at most ``s``:
+
+        OVER  = over_k  + (n - n_under_k) * (s - s_k)
+        UNDER = under_k + n_under_k * (s - s_k)
+
+    and below the first vertex OVER is 0 and UNDER = under_0 + n * (s - s_0).
+    At a vertex shift the result is that vertex's coordinates exactly; a
+    normalized curve gives the sums divided by n. The curve must be the sweep
+    of an error vector, as ``rroc_curve`` builds it. Returns two float arrays
+    of the shape of ``shifts``; a non-finite shift or sum is a DataError.
+    """
+    s = np.asarray(shifts, dtype=float)
+    if not np.isfinite(s).all():
+        raise DataError("shifts must be finite")
+    # m<s> over-estimates (or hits) the j examples whose vertex shift is at
+    # most s, so j = n - n_under_k, and j = 0 below the first vertex.
+    j = np.searchsorted(curve.shift, s, "right")
+    k = np.maximum(j - 1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ds = s - curve.shift[k]
+        if curve.normalized:
+            ds = ds / curve.n
+        over = curve.over[k] + j * ds
+        under = curve.under[k] + (curve.n - j) * ds
+    if not (np.isfinite(over).all() and np.isfinite(under).all()):
+        raise DataError("OVER or UNDER of a shifted model overflows to non-finite values; "
+                        "rescale the input")
+    return over, under
 
 
 def segment_slopes(n: int) -> np.ndarray:

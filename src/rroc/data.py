@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict
 
@@ -26,6 +28,8 @@ ACTUAL_COLUMN = "actual"
 PREDICTED_COLUMN = "predicted"
 PREDICTED_PREFIX = "predicted:"
 DEFAULT_MODEL_ID = "model"
+# What ``surrogateescape`` decodes an undecodable byte to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -91,17 +95,33 @@ def _model_columns(header) -> Dict[str, str]:
 def _read_text(path) -> str:
     """The file decoded as UTF-8 without a leading byte order mark.
 
-    Undecodable bytes are a DataError naming the row and the byte offset in
-    the file, a byte order mark included.
+    Undecodable bytes are a DataError naming the record and the byte offset
+    in the file, a byte order mark included.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        row = raw.count(b"\n", 0, exc.start)
-        where = f"row {row}" if row else "header"
-        raise DataError(f"{path}: {where}: invalid UTF-8 byte at offset {exc.start}") from None
+        where = _escaped_record(raw.decode("utf-8", "surrogateescape"))
+        raise DataError(f"{path}: {where}invalid UTF-8 byte at offset {exc.start}") from None
+
+
+def _escaped_record(text: str) -> str:
+    """``"header: "`` or ``"row N: "`` for the first CSV record holding an escaped byte.
+
+    Rows are numbered as ``load_predictions`` numbers them: from 1 after the
+    header, blank records skipped, so a quoted cell spanning lines is one row.
+    Empty when the csv module rejects the text before that record.
+    """
+    records = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for number, cells in enumerate(itertools.chain([next(records)], filter(None, records))):
+            if any(_ESCAPED_BYTE.search(cell) for cell in cells):
+                return f"row {number}: " if number else "header: "
+    except csv.Error:
+        pass
+    return ""
 
 
 def load_predictions(path) -> Dataset:

@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .core import ConditionLike, RrocPoint, _alpha_of, _total_losses, as_errors, over_under, total_loss
-from .curve import RrocCurve, rroc_curve
+from .curve import RrocCurve, over_under_at, rroc_curve
 from .errors import DataError
 
 __all__ = [
@@ -163,15 +163,21 @@ class CostCurve:
 
 
 def cost_curve(errors, method: ShiftMethod, alphas=None) -> CostCurve:
-    """Evaluate a shift-choice method across a grid of operating conditions."""
+    """Evaluate a shift-choice method across a grid of operating conditions.
+
+    The method must return one finite shift per alpha. The shifted models
+    are read off one RROC curve of the errors by ``over_under_at``.
+    """
     e = as_errors(errors)
     grid = default_alpha_grid() if alphas is None else np.asarray(alphas, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DataError("alpha grid must be a nonempty 1-D sequence")
     if np.any(~np.isfinite(grid)) or grid.min() < 0.0 or grid.max() > 1.0:
         raise DataError("alpha grid values must lie in [0, 1]")
-    shifts, which = np.unique(method.shifts(e, grid), return_inverse=True)
-    points = [over_under(e + s) for s in shifts]
-    over, under = np.array([(p.over, p.under) for p in points]).T[:, which]
+    shifts = np.asarray(method.shifts(e, grid), dtype=float)
+    if shifts.shape != grid.shape:
+        raise DataError(f"shift method {method.kind!r} returned {shifts.size} shifts "
+                        f"for {grid.size} alphas")
+    over, under = over_under_at(rroc_curve(e), shifts)
     losses = _total_losses(over, under, grid) / e.size
     return CostCurve(alphas=grid, losses=losses, method=method.kind)

@@ -15,6 +15,7 @@ from rroc import (
     is_convex,
     normalized_curve,
     over_under,
+    over_under_at,
     rroc_curve,
     segment_alpha,
     segment_slopes,
@@ -32,6 +33,31 @@ lattice_errors = st.lists(st.integers(-1000, 1000), min_size=1, max_size=64).map
 distinct_lattice_errors = st.lists(
     st.integers(-1000, 1000), min_size=2, max_size=40, unique=True
 ).map(lambda xs: np.asarray(xs, dtype=float) / 100.0)
+
+
+# Errors over six decades of scale, and quarter-lattice errors with many ties.
+scaled_errors = st.tuples(error_lists, st.floats(1e-3, 1e3)).map(
+    lambda t: np.asarray(t[0], dtype=float) * t[1])
+tied_errors = st.lists(st.integers(-40, 40), min_size=1, max_size=64).map(
+    lambda xs: np.asarray(xs, dtype=float) / 4)
+shift_test_errors = st.one_of(scaled_errors, tied_errors)
+
+
+def shifted_sums_by_loop(e, shifts):
+    """Reference for ``over_under_at``: one ``over_under(e + s)`` per shift."""
+    points = [over_under(np.asarray(e) + s) for s in np.asarray(shifts).tolist()]
+    return np.array([p.over for p in points]), np.array([p.under for p in points])
+
+
+def shifted_sum_tolerance(e, shifts):
+    """Bound on OVER/UNDER rounding, fixed from float64 eps before any run.
+
+    Each of the n terms ``e_i + s`` is rounded once and the sums add n terms
+    of size at most ``|e_i| + |s|``; the factor 4 covers both evaluations.
+    """
+    e = np.abs(np.asarray(e, dtype=float))
+    n = e.size
+    return 4 * n * np.finfo(float).eps * (e.sum() + n * float(np.max(np.abs(shifts))))
 
 
 def vertices_by_direct_summation(e):
@@ -330,3 +356,44 @@ class TestCurveValidation:
         smaller = [int(np.count_nonzero(e < -s)) for s in curve.shift.tolist()]
         for c in (curve, normalized_curve(curve)):
             assert (c.n_over.tolist(), c.n_under.tolist()) == (larger, smaller)
+
+
+class TestOverUnderAt:
+    @given(shift_test_errors)
+    @settings(max_examples=200, deadline=None)
+    def test_vertex_shifts_give_the_vertices_exactly(self, e):
+        curve = rroc_curve(e)
+        for c in (curve, normalized_curve(curve)):
+            over, under = over_under_at(c, c.shift)
+            assert over.tolist() == c.over.tolist()
+            assert under.tolist() == c.under.tolist()
+
+    @given(shift_test_errors, st.floats(0.0, 1e3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_shift_loop(self, e, beyond):
+        curve = rroc_curve(e)
+        s = curve.shift
+        shifts = np.concatenate((s, s - 1e-9, (s[:-1] + s[1:]) / 2, [s[0] - beyond, s[-1] + beyond]))
+        over, under = over_under_at(curve, shifts)
+        want_over, want_under = shifted_sums_by_loop(e, shifts)
+        tol = shifted_sum_tolerance(e, shifts)
+        assert np.abs(over - want_over).max() <= tol
+        assert np.abs(under - want_under).max() <= tol
+        n_over, n_under = over_under_at(normalized_curve(curve), shifts)
+        assert np.abs(n_over - want_over / e.size).max() <= tol / e.size
+        assert np.abs(n_under - want_under / e.size).max() <= tol / e.size
+
+    def test_below_the_first_vertex_every_example_is_under(self):
+        over, under = over_under_at(rroc_curve([1.0, 2.0, 4.0]), [-5.0, -4.0, 0.0, 1.0])
+        assert over.tolist() == [0.0, 0.0, 7.0, 10.0]
+        assert under.tolist() == [-8.0, -5.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(DataError, match="shifts must be finite"):
+            over_under_at(rroc_curve([1.0, 2.0]), [0.0, shift])
+
+    def test_overflowing_sum_is_a_data_error_without_warnings(self, recwarn):
+        with pytest.raises(DataError, match="overflows"):
+            over_under_at(rroc_curve([1e308]), [1e308])
+        assert len(recwarn) == 0

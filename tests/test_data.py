@@ -74,6 +74,26 @@ class TestLoadPredictions:
         with pytest.raises(DataError, match="row 2: invalid UTF-8"):
             load_predictions(path)
 
+    # A bad byte and a bad number in one place get one row number: the
+    # record's, not the line's.
+    @pytest.mark.parametrize("rows", [b'"1\n",2\n', b"\n1,2\n\n"], ids=["quoted-newline", "blank-lines"])
+    @pytest.mark.parametrize("cell, message", [
+        (b"\xff", "row 2: invalid UTF-8 byte at offset {offset}$"),
+        (b"x", "row 2: unparseable number"),
+    ], ids=["bad-byte", "bad-number"])
+    def test_rows_are_numbered_by_record(self, tmp_path, rows, cell, message):
+        path = tmp_path / "records.csv"
+        data = b"actual,predicted\n" + rows + b"1," + cell + b"\n"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=message.format(offset=data.index(cell))):
+            load_predictions(path)
+
+    def test_bad_byte_after_a_csv_error_keeps_its_offset(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_bytes(b"actual,predicted\n1," + b"9" * 140_000 + b"\n1,\xff\n")
+        with pytest.raises(DataError, match=r"big.csv: invalid UTF-8 byte at offset 140022$"):
+            load_predictions(path)
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         data = b"actual,predicted:a,predicted:b\n1.0,2.0,0.5\n-3.0,-2.5,1e-3\n"
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"

@@ -179,7 +179,10 @@ class TestRunPipeline:
 
     def test_none_cost_curve_is_read_off_the_point(self, predictions_csv, errors, monkeypatch):
         import rroc.shift
-        from rroc import NoShift, cost_curve, default_alpha_grid
+        from rroc import NoShift, cost_curve, default_alpha_grid, over_under
+        from rroc.core import _total_losses
+
+        from .test_curve import shifted_sum_tolerance
 
         calls = []
 
@@ -193,14 +196,20 @@ class TestRunPipeline:
             return wrapper
 
         with monkeypatch.context() as patch:
-            for name in ("cost_curve", "over_under"):
+            for name in ("cost_curve", "over_under", "over_under_at"):
                 patch.setattr(rroc.shift, name, counting(name))
             report = analyze(predictions_csv, outputs=("points", "cost"))
         assert calls == []
+        grid = default_alpha_grid()
         for m in ("m1", "m2", "m3"):
-            want = cost_curve(errors[m], NoShift(), default_alpha_grid()).losses
+            e = errors[m]
+            point = over_under(e)
+            want = _total_losses(point.over, point.under, grid) / e.size
             got = np.array(report.models[m]["cost_curves"]["none"])
             assert got.tobytes() == want.tobytes()
+            # The library reads the same model off the curve, summed in another order.
+            tol = 2 * shifted_sum_tolerance(e, [0.0]) / e.size
+            assert np.abs(got - cost_curve(e, NoShift(), grid).losses).max() <= tol
 
     def test_optimal_cost_curve_is_the_optimal_shift_loss(self, predictions_csv, errors):
         from rroc import optimal_constant_shift

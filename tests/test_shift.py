@@ -22,6 +22,8 @@ from rroc import (
     zero_bias_shift,
 )
 
+from .test_curve import shifted_sum_tolerance, tied_errors
+
 error_arrays = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=48
 ).map(np.asarray)
@@ -269,17 +271,45 @@ class TestCostCurve:
         import rroc.shift
 
         calls = []
-        original = rroc.shift.over_under
+        original = rroc.shift.over_under_at
 
-        def counting(e):
-            calls.append(e)
-            return original(e)
+        def counting(curve, shifts):
+            calls.append(np.unique(shifts).tolist())
+            return original(curve, shifts)
 
-        monkeypatch.setattr(rroc.shift, "over_under", counting)
-        cc = cost_curve(errors["m1"], NoShift())
-        assert len(calls) == 1
-        point = original(errors["m1"])
-        assert cc.losses.tolist() == [total_loss(point, float(a)) / 10 for a in cc.alphas]
+        monkeypatch.setattr(rroc.shift, "over_under_at", counting)
+        e = errors["m1"]
+        cc = cost_curve(e, NoShift())
+        assert calls == [[0.0]]
+        # The curve sums in another order than over_under: a few ulps apart.
+        tol = 2 * shifted_sum_tolerance(e, [0.0]) / e.size
+        point = over_under(e)
+        want = [total_loss(point, float(a)) / e.size for a in cc.alphas]
+        assert np.abs(cc.losses - want).max() <= tol
+
+    @given(st.one_of(error_arrays, tied_errors))
+    @settings(max_examples=200, deadline=None)
+    def test_optimal_losses_are_the_optimal_vertex_losses(self, e):
+        from rroc.shift import _optimal_vertices
+
+        grid = default_alpha_grid()
+        want = _optimal_vertices(rroc_curve(e), grid)[1] / e.size
+        assert cost_curve(e, OptimalConstantShift(), grid).losses.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shifts, message", [
+        ([0.5], "returned 1 shifts for 101 alphas"),
+        (np.zeros((101, 2)), "returned 202 shifts for 101 alphas"),
+        (np.full(101, np.nan), "shifts must be finite"),
+        (np.full(101, 1e308), "overflows"),
+    ], ids=["one-shift", "two-per-alpha", "nan", "overflow"])
+    def test_method_output_checked(self, shifts, message, recwarn):
+        class Fixed(NoShift):
+            def shifts(self, errors, alphas):
+                return shifts
+
+        with pytest.raises(DataError, match=message):
+            cost_curve([1e308, 0.0], Fixed())
+        assert len(recwarn) == 0
 
     def test_grid_validation(self, errors):
         with pytest.raises(DataError):
