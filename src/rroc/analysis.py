@@ -28,7 +28,7 @@ from .core import (
     _total_losses,
     total_loss,
 )
-from .curve import RrocCurve, distinct_mask
+from .curve import RrocCurve, _optimal_vertices, distinct_mask
 from .errors import DataError
 
 __all__ = [
@@ -78,37 +78,34 @@ def isometric_through(point: RrocPoint, oc: ConditionLike) -> Isometric:
     return Isometric(alpha=a, slope=math.inf, intercept=None, level=level)
 
 
-def _best_index(over, under, alpha: float) -> Tuple[int, float]:
-    """Index and total loss of the minimum-loss point among columns.
-
-    Exact loss ties go to lower over, then lower |under|, then the first.
-    """
-    loss = _total_losses(over, under, alpha)
-    best = int(np.lexsort((np.abs(under), over, loss))[0])
-    return best, float(loss[best])
-
-
 def best_point_for_alpha(
     points: Sequence[RrocPoint], oc: ConditionLike
 ) -> Tuple[RrocPoint, float]:
-    """The point of minimum total loss at asymmetry alpha, with its loss."""
+    """The point of minimum total loss at asymmetry alpha, with its loss.
+
+    Exact loss ties go to lower over, then lower |under|, then the first.
+    """
     if not points:
         raise DataError("need at least one point")
     over = np.array([p.over for p in points])
     under = np.array([p.under for p in points])
-    best, loss = _best_index(over, under, _alpha_of(oc))
-    return points[best], loss
+    loss = _total_losses(over, under, _alpha_of(oc))
+    best = int(np.lexsort((np.abs(under), over, loss))[0])
+    return points[best], float(loss[best])
 
 
 def best_vertex_for_alpha(curve: RrocCurve, oc: ConditionLike) -> Tuple[int, float]:
     """Interior index and total loss of the curve vertex optimal at alpha.
 
-    Scans the interior vertices with the tie-break of ``best_point_for_alpha``;
-    the winner is always the vertex whose two adjacent segment slopes bracket
-    (1-alpha)/alpha. At alpha = 0 that is the first vertex (OVER = 0), at
-    alpha = 1 the last (UNDER = 0).
+    The curve must be the sweep of an error vector, as ``rroc_curve`` builds
+    it: the optimum is then the vertex whose two adjacent segment slopes
+    bracket (1-alpha)/alpha, read off the slope ladder without a scan. At
+    alpha = 0 that is the first vertex (OVER = 0), at alpha = 1 the last
+    (UNDER = 0). Ties follow ``optimal_constant_shift``: the smallest |shift|,
+    then the positive one. For arbitrary points use ``best_point_for_alpha``.
     """
-    return _best_index(curve.over, curve.under, _alpha_of(oc))
+    index, loss = _optimal_vertices(curve, [_alpha_of(oc)])
+    return int(index[0]), float(loss[0])
 
 
 @dataclass(frozen=True)

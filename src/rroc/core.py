@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -39,13 +40,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatingCondition:
-    """Cost asymmetry alpha in [0, 1] with its derived isometric slope."""
+    """Cost asymmetry alpha in [0, 1] with its derived isometric slope.
+
+    Any real number is accepted (numpy scalars included) and stored as a float.
+    """
 
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and 0.0 <= self.alpha <= 1.0):
+        if not (isinstance(self.alpha, numbers.Real) and 0.0 <= self.alpha <= 1.0):
             raise DataError(f"alpha must be in [0, 1], got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
     def slope(self) -> float:

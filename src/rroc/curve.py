@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import as_errors
+from .core import _total_losses, as_errors
 from .errors import DataError
 
 __all__ = [
@@ -198,6 +198,23 @@ def over_under_at(curve: RrocCurve, shifts) -> Tuple[np.ndarray, np.ndarray]:
         raise DataError("OVER or UNDER of a shifted model overflows to non-finite values; "
                         "rescale the input")
     return over, under
+
+
+def _optimal_vertices(curve: RrocCurve, alphas) -> Tuple[np.ndarray, np.ndarray]:
+    """Index and total loss of the optimal interior vertex of ``curve``, per alpha.
+
+    Vertex i (0-based) is optimal when i <= alpha*n <= i+1: the next segment
+    changes the loss by 2*d_i*(i + 1 - alpha*n), d_i >= 0. Rounding can put
+    floor(alpha*n) one short and on a tie both vertices are optimal, so the
+    floor and its two neighbours are compared. Exact ties go to the smallest
+    |shift|, then (stable sort, window right to left) to the larger shift.
+    The curve must be the sweep of an error vector, as ``rroc_curve`` builds it.
+    """
+    a = np.asarray(alphas, dtype=float)[:, None]
+    window = np.clip(np.floor(a * curve.n).astype(np.intp) + [1, 0, -1], 0, curve.over.size - 1)
+    loss = _total_losses(curve.over[window], curve.under[window], a)
+    best = np.lexsort((np.abs(curve.shift[window]), loss), axis=-1)[:, :1]
+    return np.take_along_axis(window, best, -1)[:, 0], np.take_along_axis(loss, best, -1)[:, 0]
 
 
 def segment_slopes(n: int) -> np.ndarray:

@@ -20,10 +20,10 @@ from .analysis import (
     isometric_through,
 )
 from .core import RrocPoint, _total_losses, metrics, over_under, total_loss
-from .curve import RrocCurve, aoc, distinct_mask, rroc_curve
+from .curve import RrocCurve, _optimal_vertices, aoc, distinct_mask, rroc_curve
 from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError
-from .shift import _optimal_vertices, default_alpha_grid
+from .shift import default_alpha_grid
 
 __all__ = ["OUTPUT_KINDS", "RunConfig", "EvaluationReport", "run", "error_density"]
 
@@ -66,10 +66,10 @@ class EvaluationReport:
     the raw scale; ``axis_scale`` divides them when the report is written or
     drawn.
 
-    Serializes losslessly to strict schema-v1 JSON: no NaN/Infinity tokens are
-    ever emitted, and the JSON is compact unless an indent is given. Curves
-    carry their interior vertices only and hulls their finite frontier points;
-    the symbolic extremes at (0, -inf) and (inf, 0) are implied by the schema.
+    Serializes losslessly to compact, strict schema-v1 JSON: no NaN/Infinity
+    tokens are ever emitted. Curves carry their interior vertices only and
+    hulls their finite frontier points; the symbolic extremes at (0, -inf)
+    and (inf, 0) are implied by the schema.
     """
 
     schema_version: str
@@ -87,17 +87,13 @@ class EvaluationReport:
         """Divisor of the reported RROC coordinates: n under ``normalize``, else 1."""
         return float(self.n) if self.config["normalize"] else 1.0
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The report as strict JSON; ``indent=2`` pretty-prints it.
+    def to_json(self) -> str:
+        """The report as compact, strict JSON.
 
         Keys follow the field order; fields that are None are left out. The
         vertex, hull-point and dominance rows are written from the columns,
         each float as ``repr`` writes it, as ``json`` does; a non-finite value
         raises the ``ValueError`` of ``json.dumps(..., allow_nan=False)``.
-
-        ``indent`` re-indents the compact text through ``json.loads`` and
-        ``json.dumps``, so it costs more than the compact form: about 2.1 s
-        against 1.4 s on a 20,000-row, 3-model report.
         """
         scale = self.axis_scale
         hull_texts = None if self.hull is None else _hull_texts(self.hull, scale)
@@ -118,10 +114,7 @@ class EvaluationReport:
             else:
                 text = _dumps(value)
             fields.append((key, text))
-        compact = _object(fields, end="}\n")
-        if indent is None:
-            return compact
-        return json.dumps(json.loads(compact), indent=indent, allow_nan=False) + "\n"
+        return _object(fields, end="}\n")
 
 
 def _dumps(value) -> str:

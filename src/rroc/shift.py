@@ -2,7 +2,7 @@
 
 A shift is the regression counterpart of a classification threshold: a
 constant added to every prediction to adapt an existing model to a new cost
-asymmetry. A shift-choice method maps (training errors, alphas) to shifts;
+asymmetry. A shift-choice method maps (RROC curve, alphas) to shifts;
 evaluating a model therefore always means evaluating a (model, method) pair.
 
 The total asymmetric loss is piecewise linear in the shift, so its minimum is
@@ -14,13 +14,14 @@ slopes are fixed by n, so the optimal vertex is found by index, not by search.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .core import ConditionLike, RrocPoint, _alpha_of, _total_losses, as_errors, over_under, total_loss
-from .curve import RrocCurve, over_under_at, rroc_curve
+from .curve import RrocCurve, _optimal_vertices, over_under_at, rroc_curve
 from .errors import DataError
 
 __all__ = [
@@ -39,11 +40,14 @@ __all__ = [
 
 
 def apply_shift(predictions, s: float) -> np.ndarray:
-    """The shifted model m<s>: every prediction moved by the constant s."""
-    if not (isinstance(s, (int, float)) and math.isfinite(s)):
+    """The shifted model m<s>: every prediction moved by the constant s.
+
+    ``s`` is any finite real number, numpy scalars included.
+    """
+    if not (isinstance(s, numbers.Real) and math.isfinite(s)):
         raise DataError(f"shift must be finite, got {s!r}")
     p = np.asarray(predictions, dtype=float)
-    return p + s
+    return p + float(s)
 
 
 def zero_bias_shift(errors) -> float:
@@ -53,22 +57,6 @@ def zero_bias_shift(errors) -> float:
     minimizer of the asymmetric absolute loss (see optimal_constant_shift).
     """
     return float(-np.mean(as_errors(errors)))
-
-
-def _optimal_vertices(curve: RrocCurve, alphas) -> Tuple[np.ndarray, np.ndarray]:
-    """Index and total loss of the optimal interior vertex of ``curve``, per alpha.
-
-    Vertex i (0-based) is optimal when i <= alpha*n <= i+1: the next segment
-    changes the loss by 2*d_i*(i + 1 - alpha*n), d_i >= 0. Rounding can put
-    floor(alpha*n) one short and on a tie both vertices are optimal, so the
-    floor and its two neighbours are compared. Exact ties go to the smallest
-    |shift|, then (stable sort, window right to left) to the larger shift.
-    """
-    a = np.asarray(alphas, dtype=float)[:, None]
-    window = np.clip(np.floor(a * curve.n).astype(np.intp) + [1, 0, -1], 0, curve.over.size - 1)
-    loss = _total_losses(curve.over[window], curve.under[window], a)
-    best = np.lexsort((np.abs(curve.shift[window]), loss), axis=-1)[:, :1]
-    return np.take_along_axis(window, best, -1)[:, 0], np.take_along_axis(loss, best, -1)[:, 0]
 
 
 def optimal_constant_shift(errors, oc: ConditionLike) -> Tuple[float, float]:
@@ -100,16 +88,15 @@ def trained_constant_shift(
 
 
 class ShiftMethod:
-    """A rule mapping (errors, alphas) to one deployment shift per alpha.
+    """A rule mapping (RROC curve, alphas) to one deployment shift per alpha.
 
-    Subclasses implement ``shifts``. ``kind`` names the method in reports.
-    Non-constant methods (polynomial, per-example probabilistic) can plug in
-    here but are not shipped.
+    Subclasses implement ``shifts``; ``cost_curve`` passes them the curve of
+    the errors it evaluates. ``kind`` names the method in reports.
     """
 
     kind: str = "abstract"
 
-    def shifts(self, errors, alphas) -> np.ndarray:
+    def shifts(self, curve: RrocCurve, alphas) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -118,7 +105,7 @@ class NoShift(ShiftMethod):
 
     kind = "none"
 
-    def shifts(self, errors, alphas) -> np.ndarray:
+    def shifts(self, curve: RrocCurve, alphas) -> np.ndarray:
         return np.zeros(len(alphas))
 
 
@@ -127,8 +114,7 @@ class OptimalConstantShift(ShiftMethod):
 
     kind = "optimal_constant"
 
-    def shifts(self, errors, alphas) -> np.ndarray:
-        curve = rroc_curve(errors)
+    def shifts(self, curve: RrocCurve, alphas) -> np.ndarray:
         return curve.shift[_optimal_vertices(curve, alphas)[0]]
 
 
@@ -138,10 +124,10 @@ class TrainedConstantShift(ShiftMethod):
     kind = "trained_constant"
 
     def __init__(self, train_errors):
-        self.train_errors = as_errors(train_errors)
+        self.train_curve = rroc_curve(train_errors)
 
-    def shifts(self, errors, alphas) -> np.ndarray:
-        return OptimalConstantShift().shifts(self.train_errors, alphas)
+    def shifts(self, curve: RrocCurve, alphas) -> np.ndarray:
+        return OptimalConstantShift().shifts(self.train_curve, alphas)
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -165,8 +151,9 @@ class CostCurve:
 def cost_curve(errors, method: ShiftMethod, alphas=None) -> CostCurve:
     """Evaluate a shift-choice method across a grid of operating conditions.
 
-    The method must return one finite shift per alpha. The shifted models
-    are read off one RROC curve of the errors by ``over_under_at``.
+    The method reads one RROC curve of the errors and must return one finite
+    shift per alpha; the shifted models are read off that curve by
+    ``over_under_at``.
     """
     e = as_errors(errors)
     grid = default_alpha_grid() if alphas is None else np.asarray(alphas, dtype=float)
@@ -174,10 +161,11 @@ def cost_curve(errors, method: ShiftMethod, alphas=None) -> CostCurve:
         raise DataError("alpha grid must be a nonempty 1-D sequence")
     if np.any(~np.isfinite(grid)) or grid.min() < 0.0 or grid.max() > 1.0:
         raise DataError("alpha grid values must lie in [0, 1]")
-    shifts = np.asarray(method.shifts(e, grid), dtype=float)
+    curve = rroc_curve(e)
+    shifts = np.asarray(method.shifts(curve, grid), dtype=float)
     if shifts.shape != grid.shape:
         raise DataError(f"shift method {method.kind!r} returned {shifts.size} shifts "
                         f"for {grid.size} alphas")
-    over, under = over_under_at(rroc_curve(e), shifts)
+    over, under = over_under_at(curve, shifts)
     losses = _total_losses(over, under, grid) / e.size
     return CostCurve(alphas=grid, losses=losses, method=method.kind)

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rroc import (
@@ -25,7 +25,7 @@ from rroc.analysis import COLLINEAR_EPS
 from rroc.core import OVER_EXTREME, UNDER_EXTREME
 from rroc.curve import distinct_mask
 
-from .test_curve import lattice_errors
+from .test_curve import lattice_errors, tied_errors
 
 # Exact crossover of the m1 and m3 points: 1 / (1 + 4.461/7.862).
 CROSSOVER_M1_M3 = 7.862 / 12.323
@@ -157,6 +157,19 @@ class TestBestVertex:
             _, vertex_loss = best_vertex_for_alpha(curve, float(alpha))
             _, shift_loss = optimal_constant_shift(e, float(alpha))
             assert vertex_loss == pytest.approx(shift_loss, rel=1e-12, abs=1e-12)
+
+    @given(tied_errors, st.integers(0, 8))
+    @example(np.array([0, 0.25, -0.5, 0.25, 0.5, -0.25, 0, 1]), 1)
+    @settings(max_examples=300, deadline=None)
+    def test_names_the_optimal_constant_shift_vertex(self, e, eighths):
+        # Quarter-lattice errors at alphas in steps of 1/8 give exact loss
+        # ties between distinct vertices; both must take the same one.
+        alpha = eighths / 8
+        curve = rroc_curve(e)
+        index, loss = best_vertex_for_alpha(curve, alpha)
+        shift, shift_loss = optimal_constant_shift(e, alpha)
+        assert curve.shift[index] == shift
+        assert loss == shift_loss
 
     def test_bracketing_segment_slopes(self, errors):
         e = errors["m1"]

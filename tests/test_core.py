@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -186,6 +187,17 @@ class TestOperatingCondition:
             OperatingCondition(1.2)
         with pytest.raises(DataError):
             OperatingCondition.from_slope(-1.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, np.float32(0.5), np.float64(0.5), Fraction(1, 2), np.int64(1), 0],
+                             ids=["float", "float32", "float64", "Fraction", "int64", "int"])
+    def test_any_real_alpha_is_stored_as_float(self, alpha):
+        oc = OperatingCondition(alpha)
+        assert type(oc.alpha) is float and oc.alpha == float(alpha)
+
+    @pytest.mark.parametrize("alpha", [np.float32(np.nan), np.float64(1.5), np.int64(-1), math.inf, "0.5", None])
+    def test_nan_out_of_range_and_non_real_alpha_rejected(self, alpha):
+        with pytest.raises(DataError, match=r"alpha must be in \[0, 1\]"):
+            OperatingCondition(alpha)
 
 
 class TestRrocPoint:

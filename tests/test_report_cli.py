@@ -102,16 +102,11 @@ class TestRunPipeline:
 
     def test_json_is_strict(self, predictions_csv):
         report = analyze(predictions_csv, outputs=("points", "curves", "hull", "dominance"))
-        parsed = json.loads(report.to_json())
+        text = report.to_json()
+        assert "\n" not in text.rstrip("\n")
+        parsed = json.loads(text)
         assert parsed["schema_version"] == "1"
         assert parsed["config"]["normalize"] is False
-
-    def test_compact_and_indented_json_agree(self, predictions_csv):
-        report = analyze(predictions_csv, alphas=(0.3, 0.8), normalize=True)
-        compact, pretty = report.to_json(), report.to_json(indent=2)
-        assert "\n" not in compact.rstrip("\n")
-        assert pretty.startswith('{\n  "schema_version": "1"')
-        assert json.loads(compact) == json.loads(pretty)
 
     def test_hull_built_once_for_hull_and_dominance(self, predictions_csv, monkeypatch):
         import rroc.analysis
@@ -229,7 +224,7 @@ class TestRunPipeline:
             RunConfig(input=str(predictions_csv), alphas=(1.5,))
 
 
-def reference_json(report, indent=None):
+def reference_json(report):
     """Reference encoder: the report's fields as plain dicts and lists, then one json.dumps.
 
     The curve, hull and dominance rows are built as the report built them
@@ -274,8 +269,7 @@ def reference_json(report, indent=None):
                 (hull.over[rows] / scale).tolist(), (hull.under[rows] / scale).tolist(),
             )
         ]
-    separators = None if indent is not None else (",", ":")
-    return json.dumps(fields, indent=indent, separators=separators, allow_nan=False) + "\n"
+    return json.dumps(fields, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 # Errors on the quarter lattice tie often; -0.0 - 0.0 keeps its sign.
@@ -308,7 +302,6 @@ class TestJsonWriter:
         except DataError:
             reject()  # the density of a subnormal spread overflows
         assert report.to_json() == reference_json(report)
-        assert report.to_json(indent=2) == reference_json(report, indent=2)
 
     @pytest.mark.parametrize("column", ["hull.under", "dominance.alpha_high"])
     def test_non_finite_column_raises_the_json_error(self, predictions_csv, column):
@@ -329,10 +322,9 @@ class TestJsonWriter:
                                                      h.model_ids))
         else:
             report = replace(report, dominance=DominanceMap(poisoned(d.alpha_high), d.hull_row, h))
-        for indent in (None, 2):
-            with pytest.raises(ValueError) as got:
-                report.to_json(indent)
-            assert str(got.value) == str(strict.value)
+        with pytest.raises(ValueError) as got:
+            report.to_json()
+        assert str(got.value) == str(strict.value)
 
 
 def dense_error_density(errors, points=256):

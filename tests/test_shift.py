@@ -116,6 +116,18 @@ class TestApplyShift:
         with pytest.raises(DataError):
             apply_shift([1.0], np.inf)
 
+    @pytest.mark.parametrize("s", [0.5, 1, np.float32(0.5), np.float64(0.5), np.int64(1), Fraction(1, 2)],
+                             ids=["float", "int", "float32", "float64", "int64", "Fraction"])
+    def test_any_finite_real_shift(self, s):
+        shifted = apply_shift([1.0, -2.0], s)
+        assert shifted.dtype == np.float64
+        assert shifted.tolist() == [1.0 + float(s), -2.0 + float(s)]
+
+    @pytest.mark.parametrize("s", [np.float32(np.nan), np.float64(np.inf), -np.inf, "0.5", None])
+    def test_non_finite_or_non_real_shift_rejected(self, s):
+        with pytest.raises(DataError, match="shift must be finite"):
+            apply_shift([1.0], s)
+
 
 class TestOptimalConstantShift:
     def test_single_example_reaches_zero_loss(self):
@@ -179,11 +191,12 @@ class TestOptimalConstantShift:
     def test_method_shifts_match_per_alpha_optimum(self, errors):
         grid = default_alpha_grid()
         e, train = errors["m1"], errors["m2"]
-        optimal = OptimalConstantShift().shifts(e, grid)
-        trained = TrainedConstantShift(train).shifts(e, grid)
+        curve = rroc_curve(e)
+        optimal = OptimalConstantShift().shifts(curve, grid)
+        trained = TrainedConstantShift(train).shifts(curve, grid)
         assert optimal.tolist() == [optimal_constant_shift(e, a)[0] for a in grid]
         assert trained.tolist() == [optimal_constant_shift(train, a)[0] for a in grid]
-        assert NoShift().shifts(e, grid).tolist() == [0.0] * grid.size
+        assert NoShift().shifts(curve, grid).tolist() == [0.0] * grid.size
 
     def test_shifted_point_lands_on_curve_vertex(self, errors):
         e = errors["m3"]
@@ -287,10 +300,33 @@ class TestCostCurve:
         want = [total_loss(point, float(a)) / e.size for a in cc.alphas]
         assert np.abs(cc.losses - want).max() <= tol
 
+    def test_one_curve_per_call(self, errors, monkeypatch):
+        import rroc.shift
+
+        built = []
+        original = rroc.shift.rroc_curve
+
+        def counting(e, *args, **kwargs):
+            built.append(np.asarray(e).tolist())
+            return original(e, *args, **kwargs)
+
+        monkeypatch.setattr(rroc.shift, "rroc_curve", counting)
+        e, train = errors["m1"], errors["m2"]
+        for method in (NoShift(), OptimalConstantShift()):
+            built.clear()
+            cost_curve(e, method)
+            assert built == [e.tolist()], method.kind
+        built.clear()
+        method = TrainedConstantShift(train)
+        cost_curve(e, method)
+        cost_curve(e, method)
+        # The training curve is built once, in the constructor.
+        assert built == [train.tolist(), e.tolist(), e.tolist()]
+
     @given(st.one_of(error_arrays, tied_errors))
     @settings(max_examples=200, deadline=None)
     def test_optimal_losses_are_the_optimal_vertex_losses(self, e):
-        from rroc.shift import _optimal_vertices
+        from rroc.curve import _optimal_vertices
 
         grid = default_alpha_grid()
         want = _optimal_vertices(rroc_curve(e), grid)[1] / e.size
@@ -304,7 +340,7 @@ class TestCostCurve:
     ], ids=["one-shift", "two-per-alpha", "nan", "overflow"])
     def test_method_output_checked(self, shifts, message, recwarn):
         class Fixed(NoShift):
-            def shifts(self, errors, alphas):
+            def shifts(self, curve, alphas):
                 return shifts
 
         with pytest.raises(DataError, match=message):
