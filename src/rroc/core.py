@@ -76,7 +76,7 @@ def _alpha_of(oc: ConditionLike) -> float:
     """Accept an OperatingCondition or a bare alpha and validate it."""
     if isinstance(oc, OperatingCondition):
         return oc.alpha
-    return OperatingCondition(float(oc)).alpha
+    return OperatingCondition(oc).alpha
 
 
 @dataclass(frozen=True)

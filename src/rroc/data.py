@@ -30,6 +30,9 @@ PREDICTED_PREFIX = "predicted:"
 DEFAULT_MODEL_ID = "model"
 # What ``surrogateescape`` decodes an undecodable byte to.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+# Records converted per block: large enough to amortise the per-block calls,
+# small enough that a block's cell strings stay a small share of the input.
+_BLOCK_RECORDS = 1024
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,8 @@ def _model_columns(header) -> Dict[str, str]:
     return columns
 
 
-def _read_text(path) -> str:
-    """The file decoded as UTF-8 without a leading byte order mark.
+def _read_utf8(path) -> bytes:
+    """The file's bytes, checked to be UTF-8.
 
     Undecodable bytes are a DataError naming the record and the byte offset
     in the file, a byte order mark included.
@@ -101,20 +104,28 @@ def _read_text(path) -> str:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("utf-8").removeprefix("\ufeff")
+        raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        where = _escaped_record(raw.decode("utf-8", "surrogateescape"))
-        raise DataError(f"{path}: {where}invalid UTF-8 byte at offset {exc.start}") from None
+        raise DataError(
+            f"{path}: {_escaped_record(raw)}invalid UTF-8 byte at offset {exc.start}"
+        ) from None
+    return raw
 
 
-def _escaped_record(text: str) -> str:
-    """``"header: "`` or ``"row N: "`` for the first CSV record holding an escaped byte.
+def _records(raw: bytes, errors: str = "strict"):
+    """CSV records of the bytes, decoded as read; one leading byte order mark is skipped."""
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", errors=errors, newline="")
+    return csv.reader(text)
+
+
+def _escaped_record(raw: bytes) -> str:
+    """``"header: "`` or ``"row N: "`` for the first CSV record holding an undecodable byte.
 
     Rows are numbered as ``load_predictions`` numbers them: from 1 after the
     header, blank records skipped, so a quoted cell spanning lines is one row.
     Empty when the csv module rejects the text before that record.
     """
-    records = csv.reader(io.StringIO(text, newline=""))
+    records = _records(raw, errors="surrogateescape")
     try:
         for number, cells in enumerate(itertools.chain([next(records)], filter(None, records))):
             if any(_ESCAPED_BYTE.search(cell) for cell in cells):
@@ -124,47 +135,82 @@ def _escaped_record(text: str) -> str:
     return ""
 
 
-def load_predictions(path) -> Dataset:
-    """Parse a predictions CSV into a Dataset; a line the csv module rejects is a DataError."""
-    header, row_number = None, 0
-    with io.StringIO(_read_text(path), newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            header = reader.fieldnames
-            if header is None:
-                raise DataError(f"{path}: no rows")
-            if ACTUAL_COLUMN not in header:
-                raise ConfigError(f"{path}: missing required column {ACTUAL_COLUMN!r}")
-            if header.count(ACTUAL_COLUMN) > 1:
-                raise ConfigError(f"{path}: duplicate column {ACTUAL_COLUMN!r} in header")
-            columns = _model_columns(header)
-            if not columns:
-                raise ConfigError(
-                    f"{path}: need a {PREDICTED_COLUMN!r} or {PREDICTED_PREFIX}<model-id> column"
-                )
+def _used_columns(header, path):
+    """The model ids, and the header indices of ``actual`` and then of each model's column."""
+    if header is None:
+        raise DataError(f"{path}: no rows")
+    if ACTUAL_COLUMN not in header:
+        raise ConfigError(f"{path}: missing required column {ACTUAL_COLUMN!r}")
+    if header.count(ACTUAL_COLUMN) > 1:
+        raise ConfigError(f"{path}: duplicate column {ACTUAL_COLUMN!r} in header")
+    columns = _model_columns(header)
+    if not columns:
+        raise ConfigError(
+            f"{path}: need a {PREDICTED_COLUMN!r} or {PREDICTED_PREFIX}<model-id> column"
+        )
+    return list(columns), [header.index(name) for name in [ACTUAL_COLUMN, *columns.values()]]
 
-            actual = []
-            predicted = {model_id: [] for model_id in columns}
-            for row_number, row in enumerate(reader, start=1):
-                if None in row:
+
+def _bulk_columns(rows, width: int, indices):
+    """The columns at ``indices`` of every row as finite float arrays, in blocks.
+
+    None when any block has a row of another width, a cell ``float`` rejects,
+    a non-finite value or a line the csv module rejects, or when there are no
+    rows: the record-by-record loop then decides what the file holds.
+    """
+    blocks = []
+    try:
+        while block := list(itertools.islice(rows, _BLOCK_RECORDS)):
+            if set(map(len, block)) != {width}:
+                return None
+            cells = list(zip(*block))
+            blocks.append([np.fromiter(map(float, cells[i]), float, len(block)) for i in indices])
+    except (csv.Error, ValueError):
+        return None
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    if not columns or not all(np.isfinite(column).all() for column in columns):
+        return None
+    return columns
+
+
+def load_predictions(path) -> Dataset:
+    """Parse a predictions CSV into a Dataset; a line the csv module rejects is a DataError.
+
+    Rows are converted in blocks of ``_BLOCK_RECORDS`` with ``float``. If any
+    block fails, the file is read again record by record, and that loop words
+    the first error.
+    """
+    raw = _read_utf8(path)
+    header, row_number = None, 0
+    try:
+        records = _records(raw)
+        header = next(records, None)
+        model_ids, indices = _used_columns(header, path)
+        values = _bulk_columns(filter(None, records), len(header), indices)
+        if values is None:
+            records = _records(raw)
+            next(records)
+            values = [[] for _ in indices]
+            for row_number, cells in enumerate(filter(None, records), start=1):
+                if len(cells) > len(header):
                     raise DataError(
-                        f"{path}: row {row_number}: {len(header) + len(row[None])} cells "
+                        f"{path}: row {row_number}: {len(cells)} cells "
                         f"for {len(header)} header columns"
                     )
-                actual.append(_parse_cell(row, ACTUAL_COLUMN, path, row_number))
-                for model_id, column in columns.items():
-                    predicted[model_id].append(_parse_cell(row, column, path, row_number))
-            if not actual:
+                for column, index in zip(values, indices):
+                    cell = cells[index] if index < len(cells) else None
+                    column.append(_parse_cell(cell, header[index], path, row_number))
+            if not row_number:
                 raise DataError(f"{path}: no rows")
-        except csv.Error as exc:
-            # The reader failed on the header or on the row after the last one numbered.
-            where = "header" if header is None else f"row {row_number + 1}"
-            raise DataError(f"{path}: {where}: {exc}") from None
-    return Dataset(actual=np.array(actual), predicted={k: np.array(v) for k, v in predicted.items()})
+    except csv.Error as exc:
+        # The reader failed on the header or on the row after the last one numbered.
+        where = "header" if header is None else f"row {row_number + 1}"
+        raise DataError(f"{path}: {where}: {exc}") from None
+    actual, *predicted = map(np.asarray, values)
+    return Dataset(actual=actual, predicted=dict(zip(model_ids, predicted)))
 
 
-def _parse_cell(row, column: str, path, row_number: int) -> float:
-    raw = row.get(column)
+def _parse_cell(raw, column: str, path, row_number: int) -> float:
     if raw is None or raw.strip() == "":
         raise DataError(f"{path}: row {row_number}: missing value in column {column!r}")
     try:

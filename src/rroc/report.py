@@ -180,9 +180,11 @@ def _hull_json(hull: ConvexHull, texts, level: str) -> str:
 
 def _dominance_json(dm: DominanceMap, texts) -> str:
     over, under, model = texts
+    # Each region starts where the one before ends: its low is the previous high, 0.0 first.
+    highs = _texts(dm.alpha_high)
     rows = ",".join([
         f'{{"alpha_low":{a},"alpha_high":{b},"model":{model[r]},"point":{{"over":{over[r]},"under":{under[r]}}}}}'
-        for a, b, r in zip(_texts(dm.alpha_low), _texts(dm.alpha_high), dm.hull_row.tolist())
+        for a, b, r in zip(["0.0", *highs[:-1]], highs, dm.hull_row.tolist())
     ])
     return f"[{rows}]"
 

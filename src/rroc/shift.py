@@ -44,10 +44,13 @@ def apply_shift(predictions, s: float) -> np.ndarray:
 
     ``s`` is any finite real number, numpy scalars included.
     """
-    if not (isinstance(s, numbers.Real) and math.isfinite(s)):
+    try:
+        shift = float(s) if isinstance(s, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        shift = math.inf
+    if not math.isfinite(shift):
         raise DataError(f"shift must be finite, got {s!r}")
-    p = np.asarray(predictions, dtype=float)
-    return p + float(s)
+    return np.asarray(predictions, dtype=float) + shift
 
 
 def zero_bias_shift(errors) -> float:

@@ -9,6 +9,7 @@ from rroc import (
     DataError,
     NoShift,
     OptimalConstantShift,
+    RrocPoint,
     TrainedConstantShift,
     apply_shift,
     cost_curve,
@@ -127,6 +128,19 @@ class TestApplyShift:
     def test_non_finite_or_non_real_shift_rejected(self, s):
         with pytest.raises(DataError, match="shift must be finite"):
             apply_shift([1.0], s)
+
+
+# Ints beyond the float range are rejected as out of range, not left to
+# float() to raise OverflowError.
+@pytest.mark.parametrize("huge", [10**400, -10**400, 2**1024], ids=["1e400", "-1e400", "2**1024"])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: apply_shift([1.0], v), "shift must be finite"),
+    (lambda v: total_loss(RrocPoint(1.0, -1.0), v), r"alpha must be in \[0, 1\]"),
+    (lambda v: optimal_constant_shift([1.0], v), r"alpha must be in \[0, 1\]"),
+], ids=["apply_shift", "total_loss", "optimal_constant_shift"])
+def test_huge_int_is_a_data_error(call, message, huge):
+    with pytest.raises(DataError, match=message):
+        call(huge)
 
 
 class TestOptimalConstantShift:
