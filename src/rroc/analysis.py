@@ -28,7 +28,7 @@ from .core import (
     _total_losses,
     total_loss,
 )
-from .curve import RrocCurve, _optimal_vertices, distinct_mask
+from .curve import RrocCurve, _optimal_vertices
 from .errors import DataError
 
 __all__ = [
@@ -221,7 +221,7 @@ def _candidates(inputs: Dict[str, HullInput]):
                 raise DataError(f"input point for {model_id!r} must be finite")
             ov, un, index = np.array([item.over]), np.array([item.under]), np.array([-1])
         elif isinstance(item, RrocCurve):
-            keep = distinct_mask(item.over, item.under)
+            keep = item.distinct_vertices()
             ov, un = item.over[keep], item.under[keep]
             index = np.arange(ov.size)
         else:
@@ -335,8 +335,10 @@ def dominance_map(inputs: Union[ConvexHull, Dict[str, HullInput]]) -> DominanceM
     """
     hull = inputs if isinstance(inputs, ConvexHull) else convex_hull(inputs)
     ov, un = hull.over, hull.under
-    # Hull overs strictly increase, so no segment is vertical.
-    crossovers = 1.0 / (1.0 + np.diff(un) / np.diff(ov))
+    # Hull overs strictly increase, so no segment is vertical. A slope too
+    # steep for a float is inf, whose crossover 1/(1+inf) is 0.0.
+    with np.errstate(over="ignore"):
+        crossovers = 1.0 / (1.0 + np.diff(un) / np.diff(ov))
     kept = np.ones(crossovers.size, dtype=bool)
     kept[1:] = crossovers[1:] > np.maximum.accumulate(crossovers)[:-1]
     rows = np.flatnonzero(kept)

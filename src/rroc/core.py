@@ -61,12 +61,18 @@ class OperatingCondition:
 
     @classmethod
     def from_slope(cls, slope: float) -> "OperatingCondition":
-        """Inverse mapping alpha = 1 / (1 + slope); slope=inf gives alpha=0."""
-        if math.isnan(slope) or slope < 0.0:
+        """Inverse mapping alpha = 1 / (1 + slope); slope=inf gives alpha=0.
+
+        So does an int too large for a float, such as 10**400.
+        """
+        # Not ``math.isnan``: it converts to float. Comparing ints is exact and
+        # NaN compares false.
+        if not slope >= 0.0:
             raise DataError(f"slope must be nonnegative, got {slope!r}")
-        if math.isinf(slope):
+        try:
+            return cls(1.0 / (1.0 + slope))
+        except OverflowError:  # an int beyond the float range
             return cls(0.0)
-        return cls(1.0 / (1.0 + slope))
 
 
 ConditionLike = Union[OperatingCondition, float, int]

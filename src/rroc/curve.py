@@ -17,6 +17,7 @@ the single place the two conventions meet and they agree numerically.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional, Tuple
 
 import numpy as np
@@ -52,7 +53,7 @@ class RrocCurve:
     The constructor is the one place a curve is checked.
     """
 
-    __slots__ = ("over", "under", "shift", "n_over", "n_under", "n", "model_id", "normalized")
+    __slots__ = ("over", "under", "shift", "n_over", "n_under", "n", "model_id", "normalized", "_distinct")
 
     def __init__(self, over, under, shift, *, model_id: Optional[str] = None, normalized: bool = False):
         columns = [np.asarray(c) for c in (over, under, shift)]
@@ -72,6 +73,7 @@ class RrocCurve:
         self.n = n
         self.model_id = model_id
         self.normalized = normalized
+        self._distinct = None
 
     @property
     def vertices(self) -> np.ndarray:
@@ -85,10 +87,17 @@ class RrocCurve:
         """Interior indices of the vertices left when coincident runs collapse.
 
         Ties in the error vector make consecutive vertices coincide; this is
-        the deduplicated view used for plotting and counting visible points
-        (see ``distinct_mask``).
+        the deduplicated view that the hull, the report's count and the plot
+        all read (see ``distinct_mask``). The rule runs once per curve, on the
+        raw coordinates, and its read-only mask is kept; a scaled copy of the
+        columns selects these same indices.
         """
-        return np.flatnonzero(distinct_mask(self.over, self.under))
+        if self._distinct is None:
+            # Threads that race here compute equal masks; either one is kept.
+            mask = distinct_mask(self.over, self.under)
+            mask.flags.writeable = False
+            self._distinct = mask
+        return np.flatnonzero(self._distinct)
 
 
 def distinct_mask(over, under) -> np.ndarray:
@@ -217,6 +226,14 @@ def _optimal_vertices(curve: RrocCurve, alphas) -> Tuple[np.ndarray, np.ndarray]
     return np.take_along_axis(window, best, -1)[:, 0], np.take_along_axis(loss, best, -1)[:, 0]
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; Python and numpy integers pass, anything else is a DataError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
+
+
 def segment_slopes(n: int) -> np.ndarray:
     """Slopes of the n+1 curve segments: (n+1-i)/(i-1) for i = 1..n+1.
 
@@ -224,6 +241,7 @@ def segment_slopes(n: int) -> np.ndarray:
     depend only on n, not on the error values; curves of equal-sized
     datasets differ in segment lengths, never in slopes.
     """
+    n = _integer(n, "n")
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
     return np.concatenate(([math.inf], np.arange(n - 1, -1, -1) / np.arange(1, n + 1)))
@@ -231,6 +249,7 @@ def segment_slopes(n: int) -> np.ndarray:
 
 def segment_alpha(n: int, i: int) -> float:
     """Operating condition alpha = (i-1)/n for which segment i hosts the optimum."""
+    n, i = _integer(n, "n"), _integer(i, "segment index")
     if n < 1:
         raise DataError(f"n must be >= 1, got {n}")
     if not 1 <= i <= n + 1:
@@ -307,7 +326,7 @@ def is_convex(curve: RrocCurve) -> bool:
     curves. Coincident vertices are skipped; slope comparisons allow a
     relative tolerance of ``CONVEX_REL_TOL`` for float noise.
     """
-    keep = distinct_mask(curve.over, curve.under)
+    keep = curve.distinct_vertices()
     dx, dy = np.diff(curve.over[keep]), np.diff(curve.under[keep])
     with np.errstate(divide="ignore", invalid="ignore"):
         slopes = np.where(dx == 0.0, math.inf, dy / dx)

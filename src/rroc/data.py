@@ -225,13 +225,16 @@ def _parse_cell(raw, column: str, path, row_number: int) -> float:
 
 
 def write_predictions(dataset: Dataset, path) -> None:
-    """Write a Dataset as CSV; floats use repr so re-ingestion is lossless."""
+    """Write a Dataset as CSV; floats use repr so re-ingestion is lossless.
+
+    Rows are written in blocks of ``_BLOCK_RECORDS``, each column of a block
+    taken as Python floats with one ``tolist``.
+    """
     model_ids = dataset.model_ids
+    columns = [dataset.actual, *(dataset.predicted[m] for m in model_ids)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([ACTUAL_COLUMN] + [PREDICTED_PREFIX + m for m in model_ids])
-        for i in range(dataset.n):
-            writer.writerow(
-                [repr(float(dataset.actual[i]))]
-                + [repr(float(dataset.predicted[m][i])) for m in model_ids]
-            )
+        for start in range(0, dataset.n, _BLOCK_RECORDS):
+            block = [map(repr, c[start:start + _BLOCK_RECORDS].tolist()) for c in columns]
+            writer.writerows(zip(*block))

@@ -20,7 +20,7 @@ from .analysis import (
     isometric_through,
 )
 from .core import RrocPoint, _total_losses, metrics, over_under, total_loss
-from .curve import RrocCurve, _optimal_vertices, aoc, distinct_mask, rroc_curve
+from .curve import RrocCurve, _optimal_vertices, aoc, rroc_curve
 from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError
 from .shift import default_alpha_grid
@@ -152,10 +152,12 @@ def _entry_json(entry: dict, scale: float, normalized: bool) -> str:
 
 
 def _curve_json(curve: RrocCurve, scale: float, normalized: bool) -> str:
-    """A curve's JSON with its coordinates divided by scale."""
-    over, under = curve.over / scale, curve.under / scale
-    distinct = int(np.count_nonzero(distinct_mask(over, under)))
-    columns = (over, under, curve.shift, curve.n_over, curve.n_under)
+    """A curve's JSON with its coordinates divided by scale.
+
+    The distinct vertices are counted on the raw curve, as the hull indexes them.
+    """
+    distinct = curve.distinct_vertices().size
+    columns = (curve.over / scale, curve.under / scale, curve.shift, curve.n_over, curve.n_under)
     rows = ",".join([
         f'{{"over":{o},"under":{u},"shift":{s},"n_over":{a},"n_under":{b}}}'
         for o, u, s, a, b in zip(*map(_texts, columns))

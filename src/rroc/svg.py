@@ -14,7 +14,6 @@ from typing import List
 
 import numpy as np
 
-from .curve import distinct_mask
 from .errors import DataError
 from .report import EvaluationReport
 
@@ -174,8 +173,7 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
     models = report.models
     colors = _model_colors(models)
     n_scale = report.axis_scale
-    curves = {m: (e["curve"].over / n_scale, e["curve"].under / n_scale)
-              for m, e in models.items() if "curve" in e}
+    curves = {m: e["curve"] for m, e in models.items() if "curve" in e}
     hull = report.hull
     hull_over = np.zeros(0) if hull is None else hull.over / n_scale
     hull_under = np.zeros(0) if hull is None else hull.under / n_scale
@@ -184,10 +182,12 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
         if "point" in entry:
             xs.append(entry["point"]["over"])
             ys.append(entry["point"]["under"])
-    for over, under in (*curves.values(), (hull_over, hull_under)):
-        if over.size:
-            xs.append(float(over.max()))
-            ys.append(float(under.min()))
+    for curve in curves.values():
+        xs.append(float(curve.over.max()) / n_scale)
+        ys.append(float(curve.under.min()) / n_scale)
+    if hull_over.size:
+        xs.append(float(hull_over.max()))
+        ys.append(float(hull_under.min()))
     x_max = max(max(xs), 1e-9) * CLIP_FACTOR
     y_min = min(min(ys), -1e-9) * CLIP_FACTOR
     frame = _Frame(0.0, x_max, y_min, 0.0, y_offset)
@@ -218,9 +218,10 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
     for model_id, entry in models.items():
         color = colors[model_id]
         if model_id in curves:
-            over, under = curves[model_id]
-            keep = distinct_mask(over, under)
-            over, under = over[keep], under[keep]
+            # The distinct vertices, as the hull indexes them and the report counts them.
+            curve = curves[model_id]
+            keep = curve.distinct_vertices()
+            over, under = curve.over[keep] / n_scale, curve.under[keep] / n_scale
             out.append(_frontier(frame, over, under, stroke=color, stroke_width="1.5", class_="curve"))
             if over.size <= MARKER_LIMIT:
                 for x, y in zip(over.tolist(), under.tolist()):

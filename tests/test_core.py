@@ -188,6 +188,15 @@ class TestOperatingCondition:
         with pytest.raises(DataError):
             OperatingCondition.from_slope(-1.0)
 
+    @pytest.mark.parametrize("slope", [10**400, 2**1024, np.inf], ids=["10**400", "2**1024", "np.inf"])
+    def test_slope_beyond_the_float_range_gives_alpha_zero(self, slope):
+        assert OperatingCondition.from_slope(slope).alpha == 0.0
+
+    @pytest.mark.parametrize("slope", [-(10**400), math.nan, np.float64(-0.5)], ids=["-10**400", "nan", "-0.5"])
+    def test_negative_or_nan_slope_rejected(self, slope):
+        with pytest.raises(DataError, match="slope must be nonnegative"):
+            OperatingCondition.from_slope(slope)
+
     @pytest.mark.parametrize("alpha", [0.5, np.float32(0.5), np.float64(0.5), Fraction(1, 2), np.int64(1), 0],
                              ids=["float", "float32", "float64", "Fraction", "int64", "int"])
     def test_any_real_alpha_is_stored_as_float(self, alpha):

@@ -155,6 +155,23 @@ class TestDistinctMask:
         under = [-1.0, -1.0, -1.0, -1.0, 0.0]
         assert distinct_mask(over, under).tolist() == [True, False, True, False, True]
 
+    def test_distinct_vertices_run_the_rule_once_per_curve(self, monkeypatch):
+        import rroc.curve
+
+        calls = []
+        original = rroc.curve.distinct_mask
+
+        def counting(over, under):
+            calls.append(over.size)
+            return original(over, under)
+
+        monkeypatch.setattr(rroc.curve, "distinct_mask", counting)
+        curve = rroc_curve([1.0, 1.0, -2.0, 0.5])  # the tied errors make vertices 0 and 1 coincide
+        assert curve.distinct_vertices().tolist() == [0, 2, 3]
+        assert is_convex(curve)
+        assert curve.distinct_vertices().tolist() == [0, 2, 3]
+        assert calls == [4]
+
 
 class TestSegmentGeometry:
     def test_slope_ladder_n10(self):
@@ -185,6 +202,19 @@ class TestSegmentGeometry:
             segment_alpha(10, 0)
         with pytest.raises(DataError):
             segment_alpha(10, 12)
+
+    @pytest.mark.parametrize("call", [lambda: segment_slopes(2.5), lambda: segment_slopes(3.0),
+                                      lambda: segment_slopes("3"), lambda: segment_alpha(3, 2.5),
+                                      lambda: segment_alpha(3.5, 2), lambda: segment_alpha(3, np.float64(2))],
+                             ids=["slopes-2.5", "slopes-3.0", "slopes-str", "alpha-i-2.5", "alpha-n-3.5",
+                                  "alpha-i-float64"])
+    def test_non_integer_sizes_rejected(self, call):
+        with pytest.raises(DataError, match="must be an integer"):
+            call()
+
+    def test_numpy_integer_sizes_accepted(self):
+        assert segment_slopes(np.int64(10)).tolist() == segment_slopes(10).tolist()
+        assert segment_alpha(np.int32(10), np.uint8(6)) == 0.5
 
     @given(distinct_lattice_errors)
     @settings(max_examples=200, deadline=None)

@@ -192,6 +192,29 @@ class TestRoundTrip:
         for m in ds.model_ids:
             assert np.array_equal(back.predicted[m], ds.predicted[m])
 
+    def test_bytes_match_the_row_by_row_writer(self, tmp_path):
+        # The writer that indexed one numpy scalar per cell is the oracle.
+        def reference_write(dataset, path):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([ACTUAL_COLUMN] + [PREDICTED_PREFIX + m for m in dataset.model_ids])
+                for i in range(dataset.n):
+                    writer.writerow([repr(float(dataset.actual[i]))]
+                                    + [repr(float(dataset.predicted[m][i])) for m in dataset.model_ids])
+
+        rng = np.random.default_rng(3)
+        # Three blocks of rows, with -0.0, subnormals, the float extremes and 17-digit values.
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1 + 0.2, 1e16, 1e-7]
+        actual = np.concatenate((special, rng.normal(0.0, 1.0, 2500)))
+        ds = Dataset(actual, {"a": -actual, "b,\"q\"": rng.normal(0.0, 1e-310, actual.size),
+                              "c": np.float32(1) / 3 + actual[::-1]})
+        write_predictions(ds, tmp_path / "new.csv")
+        reference_write(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        lines = (tmp_path / "new.csv").read_text().splitlines()
+        assert lines[1].startswith("-0.0,0.0,") and lines[3].startswith("5e-324,-5e-324,")
+
 
 # The record-by-record loader that the block loader replaced: csv.DictReader
 # over the whole decoded text and one float() call per cell. Its arrays and

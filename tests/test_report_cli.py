@@ -125,6 +125,22 @@ class TestRunPipeline:
         assert len(calls) == 1
         assert report.hull["points"] and report.dominance
 
+    def test_distinct_vertices_found_once_per_model(self, predictions_csv, monkeypatch):
+        import rroc.curve
+
+        calls = []
+        original = rroc.curve.distinct_mask
+
+        def counting(over, under):
+            calls.append(over.size)
+            return original(over, under)
+
+        monkeypatch.setattr(rroc.curve, "distinct_mask", counting)
+        report = analyze(predictions_csv, outputs=OUTPUT_KINDS, alphas=(0.8,))
+        report.to_json()
+        render_svg(report)
+        assert calls == [10, 10, 10]
+
     def test_no_object_per_hull_point_or_region(self, monkeypatch):
         from rroc import ConvexHull, DominanceMap, DominanceRegion, HullPoint, RrocCurve, RrocPoint
         from rroc.data import Dataset
@@ -236,11 +252,13 @@ def reference_json(report):
     for model_id, entry in report.models.items():
         entry = dict(entry)
         if "curve" in entry:
-            c = normalized_curve(entry["curve"]) if report.config["normalize"] else entry["curve"]
+            raw = entry["curve"]
+            c = normalized_curve(raw) if report.config["normalize"] else raw
             columns = (c.over, c.under, c.shift, c.n_over, c.n_under)
             entry["curve"] = {
                 "normalized": c.normalized,
-                "distinct_vertex_count": int(np.count_nonzero(distinct_mask(c.over, c.under))),
+                # Counted on the raw curve, whose distinct vertices the hull indexes.
+                "distinct_vertex_count": int(np.count_nonzero(distinct_mask(raw.over, raw.under))),
                 "vertices": [
                     {"over": o, "under": u, "shift": s, "n_over": a, "n_under": b}
                     for o, u, s, a, b in zip(*(column.tolist() for column in columns))
@@ -494,6 +512,24 @@ class TestSvg:
         assert decoded(report).models["model"]["curve"]["distinct_vertex_count"] == 4
         assert render_svg(report).count('class="vertex"') == 4
 
+    def test_normalized_count_markers_and_hull_share_the_distinct_vertices(self, tmp_path):
+        # Two vertices sit at the tolerance of the deduplication rule: apart
+        # on the raw scale, within it once divided by n. They are found on
+        # the raw scale once, so all six stay distinct everywhere.
+        path = tmp_path / "ties.csv"
+        rows = ["1.5e-12", "0.750000000001", "0.25", "-0.249999999999", "-0.2499999999985", "-0.5",
+                "0.250000000001"]
+        path.write_text("actual,predicted\n" + "".join(f"0,{p}\n" for p in rows))
+        json_path, svg_path = tmp_path / "r.json", tmp_path / "r.svg"
+        code = main(["analyze", "--input", str(path), "--normalize", "--outputs", "curves,hull",
+                     "--json", str(json_path), "--svg", str(svg_path), "--reproducible"])
+        assert code == 0
+        report = json.loads(json_path.read_text())
+        count = report["models"]["model"]["curve"]["distinct_vertex_count"]
+        assert count == 6
+        assert all(p["vertex_index"] < count for p in report["hull"]["points"])
+        assert svg_path.read_text().count('class="vertex"') == count
+
     def test_points_and_diagonal(self, predictions_csv):
         report = analyze(predictions_csv, outputs=("points",))
         svg = render_svg(report)
@@ -721,19 +757,30 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("rroc: configuration error:")
         assert list(tmp_path.iterdir()) == []
 
-    def test_overflowing_errors_exit_with_one_data_error_line(self, tmp_path):
-        # A separate interpreter, so a numpy warning would reach stderr.
-        path = tmp_path / "overflow.csv"
-        path.write_text("actual,predicted\n1e308,-1e308\n-1e308,1e308\n")
+    @staticmethod
+    def analyze_in_a_new_interpreter(*args):
+        """``rroc analyze`` run by a separate interpreter, so a numpy warning reaches its stderr."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "rroc.cli", "analyze", "--input", str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        return subprocess.run([sys.executable, "-m", "rroc.cli", "analyze", *args],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_overflowing_errors_exit_with_one_data_error_line(self, tmp_path):
+        path = tmp_path / "overflow.csv"
+        path.write_text("actual,predicted\n1e308,-1e308\n-1e308,1e308\n")
+        proc = self.analyze_in_a_new_interpreter("--input", str(path))
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
+
+    def test_hull_slope_beyond_the_float_range_warns_nothing(self, tmp_path):
+        # The hull segment from (0, -1e150) to (1e-300, 0) has a slope of
+        # 1e450, an inf float, so the boundary alpha is 1/(1+inf) = 0.0.
+        path = tmp_path / "steep.csv"
+        path.write_text("actual,predicted:a,predicted:c\n0,-1e150,1e-300\n")
+        proc = self.analyze_in_a_new_interpreter("--input", str(path), "--outputs", "points,hull,dominance")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [r["alpha_high"] for r in json.loads(proc.stdout)["dominance"]] == [0.0, 1.0]
 
     def test_overflowing_curve_names_the_model(self, tmp_path, capsys):
         # Every error sum overflows before any curve coordinate does.
