@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _shown
 
 __all__ = [
     "OperatingCondition",
@@ -49,7 +49,7 @@ class OperatingCondition:
 
     def __post_init__(self):
         if not (isinstance(self.alpha, numbers.Real) and 0.0 <= self.alpha <= 1.0):
-            raise DataError(f"alpha must be in [0, 1], got {self.alpha!r}")
+            raise DataError(f"alpha must be in [0, 1], got {_shown(self.alpha)}")
         object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
@@ -68,7 +68,7 @@ class OperatingCondition:
         # Not ``math.isnan``: it converts to float. Comparing ints is exact and
         # NaN compares false.
         if not slope >= 0.0:
-            raise DataError(f"slope must be nonnegative, got {slope!r}")
+            raise DataError(f"slope must be nonnegative, got {_shown(slope)}")
         try:
             return cls(1.0 / (1.0 + slope))
         except OverflowError:  # an int beyond the float range
@@ -97,10 +97,14 @@ class RrocPoint:
     under: float
 
     def __post_init__(self):
-        if math.isnan(self.over) or self.over < 0.0:
-            raise DataError(f"over must be >= 0, got {self.over!r}")
-        if math.isnan(self.under) or self.under > 0.0:
-            raise DataError(f"under must be <= 0, got {self.under!r}")
+        try:
+            if math.isnan(self.over) or self.over < 0.0:
+                raise DataError(f"over must be >= 0, got {_shown(self.over)}")
+            if math.isnan(self.under) or self.under > 0.0:
+                raise DataError(f"under must be <= 0, got {_shown(self.under)}")
+        except OverflowError:  # math.isnan of an int beyond the float range
+            raise DataError(f"over and under must be in the float range, got "
+                            f"{_shown(self.over)}, {_shown(self.under)}") from None
 
     @property
     def is_finite(self) -> bool:

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import _total_losses, as_errors
-from .errors import DataError
+from .errors import DataError, _shown
 
 __all__ = [
     "RrocCurve",
@@ -92,12 +92,16 @@ class RrocCurve:
         raw coordinates, and its read-only mask is kept; a scaled copy of the
         columns selects these same indices.
         """
+        return np.flatnonzero(self._distinct_mask())
+
+    def _distinct_mask(self) -> np.ndarray:
+        """The read-only mask behind ``distinct_vertices``, derived on first call."""
         if self._distinct is None:
             # Threads that race here compute equal masks; either one is kept.
             mask = distinct_mask(self.over, self.under)
             mask.flags.writeable = False
             self._distinct = mask
-        return np.flatnonzero(self._distinct)
+        return self._distinct
 
 
 def distinct_mask(over, under) -> np.ndarray:
@@ -231,7 +235,7 @@ def _integer(value, name: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise DataError(f"{name} must be an integer, got {value!r}") from None
+        raise DataError(f"{name} must be an integer, got {_shown(value)}") from None
 
 
 def segment_slopes(n: int) -> np.ndarray:
@@ -243,7 +247,7 @@ def segment_slopes(n: int) -> np.ndarray:
     """
     n = _integer(n, "n")
     if n < 1:
-        raise DataError(f"n must be >= 1, got {n}")
+        raise DataError(f"n must be >= 1, got {_shown(n)}")
     return np.concatenate(([math.inf], np.arange(n - 1, -1, -1) / np.arange(1, n + 1)))
 
 
@@ -251,9 +255,9 @@ def segment_alpha(n: int, i: int) -> float:
     """Operating condition alpha = (i-1)/n for which segment i hosts the optimum."""
     n, i = _integer(n, "n"), _integer(i, "segment index")
     if n < 1:
-        raise DataError(f"n must be >= 1, got {n}")
+        raise DataError(f"n must be >= 1, got {_shown(n)}")
     if not 1 <= i <= n + 1:
-        raise DataError(f"segment index must be in 1..{n + 1}, got {i}")
+        raise DataError(f"segment index must be in 1..{_shown(n + 1)}, got {_shown(i)}")
     return (i - 1) / n
 
 
@@ -312,10 +316,13 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
     """Divide both coordinates of every vertex by n.
 
     Makes curves of different dataset sizes comparable; the normalized AOC is
-    ``variance / 2``. Shifts, and so the counts, stay untouched.
+    ``variance / 2``. Shifts, and so the counts, stay untouched, and so do the
+    distinct vertices: the copy keeps the source's mask.
     """
     n = curve.n
-    return RrocCurve(curve.over / n, curve.under / n, curve.shift, model_id=curve.model_id, normalized=True)
+    out = RrocCurve(curve.over / n, curve.under / n, curve.shift, model_id=curve.model_id, normalized=True)
+    out._distinct = curve._distinct_mask()
+    return out
 
 
 def is_convex(curve: RrocCurve) -> bool:

@@ -151,62 +151,61 @@ def _used_columns(header, path):
     return list(columns), [header.index(name) for name in [ACTUAL_COLUMN, *columns.values()]]
 
 
-def _bulk_columns(rows, width: int, indices):
-    """The columns at ``indices`` of every row as finite float arrays, in blocks.
+def _block_columns(block, header, indices, path, last_row: int):
+    """The columns at ``indices`` of the records ending at row ``last_row``, as finite float arrays.
 
-    None when any block has a row of another width, a cell ``float`` rejects,
-    a non-finite value or a line the csv module rejects, or when there are no
-    rows: the record-by-record loop then decides what the file holds.
+    They convert in bulk with ``float`` when each record holds every used
+    column and is no wider than the header. Otherwise, or when a cell fails,
+    the block is parsed cell by cell, and its first bad record or cell raises.
     """
-    blocks = []
-    try:
-        while block := list(itertools.islice(rows, _BLOCK_RECORDS)):
-            if set(map(len, block)) != {width}:
-                return None
-            cells = list(zip(*block))
-            blocks.append([np.fromiter(map(float, cells[i]), float, len(block)) for i in indices])
-    except (csv.Error, ValueError):
-        return None
-    columns = [np.concatenate(column) for column in zip(*blocks)]
-    if not columns or not all(np.isfinite(column).all() for column in columns):
-        return None
-    return columns
+    if max(indices) < min(map(len, block)) and max(map(len, block)) <= len(header):
+        cells = list(zip(*block))
+        try:
+            columns = [np.fromiter(map(float, cells[i]), float, len(block)) for i in indices]
+            if all(np.isfinite(column).all() for column in columns):
+                return columns
+        except ValueError:
+            pass
+    values = []
+    for row_number, cells in enumerate(block, start=last_row - len(block) + 1):
+        if len(cells) > len(header):
+            raise DataError(f"{path}: row {row_number}: {len(cells)} cells "
+                            f"for {len(header)} header columns")
+        values.append([_parse_cell(cells[i] if i < len(cells) else None, header[i], path, row_number)
+                       for i in indices])
+    return [np.array(column, dtype=float) for column in zip(*values)]
 
 
 def load_predictions(path) -> Dataset:
     """Parse a predictions CSV into a Dataset; a line the csv module rejects is a DataError.
 
-    Rows are converted in blocks of ``_BLOCK_RECORDS`` with ``float``. If any
-    block fails, the file is read again record by record, and that loop words
-    the first error.
+    Each record is read and numbered once. Blocks of ``_BLOCK_RECORDS``
+    records convert in bulk, and only a block holding an error is parsed cell
+    by cell, which words the first error by row.
     """
     raw = _read_utf8(path)
-    header, row_number = None, 0
+    header, row_number, block, blocks = None, 0, [], []
     try:
         records = _records(raw)
         header = next(records, None)
         model_ids, indices = _used_columns(header, path)
-        values = _bulk_columns(filter(None, records), len(header), indices)
-        if values is None:
-            records = _records(raw)
-            next(records)
-            values = [[] for _ in indices]
-            for row_number, cells in enumerate(filter(None, records), start=1):
-                if len(cells) > len(header):
-                    raise DataError(
-                        f"{path}: row {row_number}: {len(cells)} cells "
-                        f"for {len(header)} header columns"
-                    )
-                for column, index in zip(values, indices):
-                    cell = cells[index] if index < len(cells) else None
-                    column.append(_parse_cell(cell, header[index], path, row_number))
-            if not row_number:
-                raise DataError(f"{path}: no rows")
+        for row_number, cells in enumerate(filter(None, records), start=1):
+            block.append(cells)
+            if len(block) == _BLOCK_RECORDS:
+                blocks.append(_block_columns(block, header, indices, path, row_number))
+                block = []
+        if block:
+            blocks.append(_block_columns(block, header, indices, path, row_number))
+        if not row_number:
+            raise DataError(f"{path}: no rows")
     except csv.Error as exc:
-        # The reader failed on the header or on the row after the last one numbered.
+        # The reader failed on the header or on the row after the last one
+        # numbered; a bad cell read before it in the same block comes first.
+        if block:
+            _block_columns(block, header, indices, path, row_number)
         where = "header" if header is None else f"row {row_number + 1}"
         raise DataError(f"{path}: {where}: {exc}") from None
-    actual, *predicted = map(np.asarray, values)
+    actual, *predicted = (np.concatenate(column) for column in zip(*blocks))
     return Dataset(actual=actual, predicted=dict(zip(model_ids, predicted)))
 
 

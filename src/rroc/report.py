@@ -22,7 +22,7 @@ from .analysis import (
 from .core import RrocPoint, _total_losses, metrics, over_under, total_loss
 from .curve import RrocCurve, _optimal_vertices, aoc, rroc_curve
 from .data import Dataset, load_predictions
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _shown
 from .shift import default_alpha_grid
 
 __all__ = ["OUTPUT_KINDS", "RunConfig", "EvaluationReport", "run", "error_density"]
@@ -53,7 +53,7 @@ class RunConfig:
             raise ConfigError("at least one output kind is required")
         bad = [a for a in self.alphas if not 0.0 <= a <= 1.0]
         if bad:
-            raise ConfigError(f"alpha values outside [0, 1]: {bad!r}")
+            raise ConfigError(f"alpha values outside [0, 1]: {_shown(bad)}")
 
 
 @dataclass
@@ -265,9 +265,9 @@ def _analyze_model(
     # sums overflow first: while every e*e is finite, so are the curve's
     # coordinates, and only its area can still overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        m = metrics(e)
+        summary = asdict(metrics(e))
         point = over_under(e)
-        sums = [m.mae, m.mse, m.bias, m.variance, m.mmse, point.over, point.under]
+        sums = [*summary.values(), point.over, point.under]
         if all(map(math.isfinite, sums)):
             curve = rroc_curve(e, model_id=model_id)
             area = aoc(curve)
@@ -278,13 +278,7 @@ def _analyze_model(
         )
     scale = float(e.size) if config.normalize else 1.0
     entry: dict = {
-        "metrics": {
-            "mae": m.mae,
-            "mse": m.mse,
-            "bias": m.bias,
-            "variance": m.variance,
-            "mmse": m.mmse,
-        },
+        "metrics": summary,
         "aoc": area,
         "normalized_aoc": area / curve.n**2,
     }

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import ConditionLike, RrocPoint, _alpha_of, _total_losses, as_errors, over_under, total_loss
 from .curve import RrocCurve, _optimal_vertices, over_under_at, rroc_curve
-from .errors import DataError
+from .errors import DataError, _shown
 
 __all__ = [
     "ShiftMethod",
@@ -49,7 +49,7 @@ def apply_shift(predictions, s: float) -> np.ndarray:
     except OverflowError:  # an int beyond the float range
         shift = math.inf
     if not math.isfinite(shift):
-        raise DataError(f"shift must be finite, got {s!r}")
+        raise DataError(f"shift must be finite, got {_shown(s)}")
     return np.asarray(predictions, dtype=float) + shift
 
 

@@ -7,7 +7,7 @@ from typing import Tuple
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError
+from .errors import ConfigError, _shown
 
 __all__ = ["MODEL_KINDS", "generate_synthetic", "parse_distribution"]
 
@@ -42,9 +42,9 @@ def generate_synthetic(mu: float, sigma: float, n: int, model: str, seed: int) -
     values under the same seed.
     """
     if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+        raise ConfigError(f"n must be >= 1, got {_shown(n)}")
     if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+        raise ConfigError(f"seed must be >= 0, got {_shown(seed)}")
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model!r} (choose from {', '.join(MODEL_KINDS)})")
     rng = np.random.default_rng(seed)

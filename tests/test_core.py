@@ -7,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rroc import (
+    ConfigError,
     DataError,
     OperatingCondition,
     RrocPoint,
+    RunConfig,
+    apply_shift,
     asymmetric_loss,
     error_vector,
+    generate_synthetic,
     metrics,
     over_under,
+    segment_alpha,
+    segment_slopes,
     total_loss,
 )
 
@@ -221,3 +227,24 @@ class TestRrocPoint:
     def test_accepts_extremes(self):
         assert not RrocPoint(0.0, -math.inf).is_finite
         assert RrocPoint(0.0, -0.0).is_finite
+
+
+# An int past the 4,300-digit limit of int-to-str conversion cannot be
+# formatted into a message, and one past the float range cannot be tested
+# with math.isnan; either is a package error whose message stays short.
+@pytest.mark.parametrize("call, error", [
+    (lambda: OperatingCondition(10**5000), DataError),
+    (lambda: OperatingCondition.from_slope(-10**5000), DataError),
+    (lambda: apply_shift([1.0], 10**5000), DataError),
+    (lambda: segment_slopes(-10**5000), DataError),
+    (lambda: segment_alpha(3, 10**5000), DataError),
+    (lambda: total_loss(RrocPoint(1.0, -1.0), 10**5000), DataError),
+    (lambda: RrocPoint(10**400, -1.0), DataError),
+    (lambda: RunConfig(alphas=(10**5000,)), ConfigError),
+    (lambda: generate_synthetic(0.0, 1.0, -10**5000, "random", 1), ConfigError),
+], ids=["OperatingCondition", "from_slope", "apply_shift", "segment_slopes", "segment_alpha",
+        "total_loss", "RrocPoint", "RunConfig", "generate_synthetic"])
+def test_huge_int_is_a_package_error_with_a_short_message(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) < 120, str(info.value)

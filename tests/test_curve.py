@@ -10,6 +10,7 @@ from rroc import (
     RrocCurve,
     aoc,
     aoc_brute_force,
+    convex_hull,
     default_shift_grid,
     distinct_mask,
     is_convex,
@@ -311,6 +312,16 @@ class TestNormalizedCurve:
         curve = rroc_curve([1.5])
         norm = normalized_curve(curve)
         assert (norm.over.tolist(), norm.under.tolist()) == (curve.over.tolist(), curve.under.tolist())
+
+    def test_keeps_the_distinct_vertices_of_its_source(self):
+        # Near ties that the rule settles differently once divided by n.
+        curve = rroc_curve([1.5e-12, 0.750000000001, 0.25, -0.249999999999, -0.2499999999985, -0.5,
+                            0.250000000001])
+        norm = normalized_curve(curve)
+        assert norm.distinct_vertices().tolist() == curve.distinct_vertices().tolist() == [0, 1, 2, 3, 4, 6]
+        assert distinct_mask(norm.over, norm.under).sum() == 5
+        assert (convex_hull({"m": norm}).vertex_index.tolist()
+                == convex_hull({"m": curve}).vertex_index.tolist() == [0, 1, 2, 3, 4, 5])
 
 
 class TestConvexity:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import rroc.data
 from rroc import ConfigError, DataError, Dataset, load_predictions, write_predictions
 from rroc.data import ACTUAL_COLUMN, DEFAULT_MODEL_ID, PREDICTED_COLUMN, PREDICTED_PREFIX, _model_columns
 from rroc.synth import generate_synthetic
@@ -375,6 +376,49 @@ def test_defect_in_a_later_block_matches_the_reference(tmp_path, name, place):
     else:
         assert got[0] is DataError
         assert got[1].startswith(f"{path}: row {row}: ") and message in got[1]
+
+
+def _counted(monkeypatch, name):
+    """Replace ``rroc.data.<name>`` by a wrapper; returns the list its calls append to."""
+    calls, real = [], getattr(rroc.data, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rroc.data, name, counting)
+    return calls
+
+
+def test_bad_cell_before_a_csv_error_in_its_block_is_reported_first(tmp_path):
+    path = tmp_path / "order.csv"
+    path.write_text("actual,predicted\n1,x\n2," + "9" * 140_000 + "\n")
+    with pytest.raises(DataError, match="row 1: unparseable number 'x'"):
+        load_predictions(path)
+    assert outcome(load_predictions, path) == outcome(reference_load, path)
+
+
+def test_rows_short_of_an_unused_column_convert_in_bulk(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    rows = [",".join(map(repr, row)) for row in rng.normal(size=(3000, 3)).tolist()]
+    header = "actual,predicted:a,predicted:b,note"
+    full, short = tmp_path / "full.csv", tmp_path / "short.csv"
+    full.write_text("\n".join([header] + [row + ",x" for row in rows]) + "\n")
+    short.write_text("\n".join([header] + rows) + "\n")
+    want = outcome(load_predictions, full)
+    calls = _counted(monkeypatch, "_parse_cell")
+    assert outcome(load_predictions, short) == want
+    assert len(want[1]) == 3000 * 8 and calls == []
+
+
+def test_only_the_block_holding_an_error_is_parsed_cell_by_cell(tmp_path, monkeypatch):
+    path = tmp_path / "blocks.csv"
+    _block_file(path, DEFECTS["bad-cell"][0], 2500, "")
+    cells, readers = _counted(monkeypatch, "_parse_cell"), _counted(monkeypatch, "_records")
+    with pytest.raises(DataError, match="row 2500: unparseable number '1.5x'"):
+        load_predictions(path)
+    assert 0 < len(cells) <= rroc.data._BLOCK_RECORDS * 3
+    assert len(readers) == 1
 
 
 def test_load_peak_memory_is_under_three_times_the_file(tmp_path):
