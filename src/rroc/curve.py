@@ -95,13 +95,20 @@ class RrocCurve:
         return np.flatnonzero(self._distinct_mask())
 
     def _distinct_mask(self) -> np.ndarray:
-        """The read-only mask behind ``distinct_vertices``, derived on first call."""
-        if self._distinct is None:
+        """The read-only mask behind ``distinct_vertices``, derived on first call.
+
+        A scaled copy holds its source curve here until then, and takes the
+        source's mask.
+        """
+        mask = self._distinct
+        if isinstance(mask, RrocCurve):
+            mask = self._distinct = mask._distinct_mask()
+        elif mask is None:
             # Threads that race here compute equal masks; either one is kept.
             mask = distinct_mask(self.over, self.under)
             mask.flags.writeable = False
             self._distinct = mask
-        return self._distinct
+        return mask
 
 
 def distinct_mask(over, under) -> np.ndarray:
@@ -235,7 +242,7 @@ def _integer(value, name: str) -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise DataError(f"{name} must be an integer, got {_shown(value)}") from None
+        raise DataError(f"{name} must be an integer, got {value!r}") from None
 
 
 def segment_slopes(n: int) -> np.ndarray:
@@ -317,11 +324,11 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
 
     Makes curves of different dataset sizes comparable; the normalized AOC is
     ``variance / 2``. Shifts, and so the counts, stay untouched, and so do the
-    distinct vertices: the copy keeps the source's mask.
+    distinct vertices: the copy reads the source's mask when first asked.
     """
     n = curve.n
     out = RrocCurve(curve.over / n, curve.under / n, curve.shift, model_id=curve.model_id, normalized=True)
-    out._distinct = curve._distinct_mask()
+    out._distinct = curve
     return out
 
 

@@ -151,8 +151,8 @@ def _used_columns(header, path):
     return list(columns), [header.index(name) for name in [ACTUAL_COLUMN, *columns.values()]]
 
 
-def _block_columns(block, header, indices, path, last_row: int):
-    """The columns at ``indices`` of the records ending at row ``last_row``, as finite float arrays.
+def _block_columns(block, header, indices, path, first_row: int):
+    """The columns at ``indices`` of the records from row ``first_row`` on, as finite float arrays.
 
     They convert in bulk with ``float`` when each record holds every used
     column and is no wider than the header. Otherwise, or when a cell fails,
@@ -167,7 +167,7 @@ def _block_columns(block, header, indices, path, last_row: int):
         except ValueError:
             pass
     values = []
-    for row_number, cells in enumerate(block, start=last_row - len(block) + 1):
+    for row_number, cells in enumerate(block, start=first_row):
         if len(cells) > len(header):
             raise DataError(f"{path}: row {row_number}: {len(cells)} cells "
                             f"for {len(header)} header columns")
@@ -179,9 +179,9 @@ def _block_columns(block, header, indices, path, last_row: int):
 def load_predictions(path) -> Dataset:
     """Parse a predictions CSV into a Dataset; a line the csv module rejects is a DataError.
 
-    Each record is read and numbered once. Blocks of ``_BLOCK_RECORDS``
-    records convert in bulk, and only a block holding an error is parsed cell
-    by cell, which words the first error by row.
+    Each record is read once, in blocks of ``_BLOCK_RECORDS``. A block
+    converts in bulk, and only a block holding an error is parsed cell by
+    cell, which words the first error by row.
     """
     raw = _read_utf8(path)
     header, row_number, block, blocks = None, 0, [], []
@@ -189,21 +189,21 @@ def load_predictions(path) -> Dataset:
         records = _records(raw)
         header = next(records, None)
         model_ids, indices = _used_columns(header, path)
-        for row_number, cells in enumerate(filter(None, records), start=1):
-            block.append(cells)
-            if len(block) == _BLOCK_RECORDS:
-                blocks.append(_block_columns(block, header, indices, path, row_number))
-                block = []
-        if block:
-            blocks.append(_block_columns(block, header, indices, path, row_number))
+        while True:
+            # ``extend`` keeps the records read before a csv.Error, for the handler.
+            block.extend(itertools.islice(filter(None, records), _BLOCK_RECORDS))
+            if not block:
+                break
+            blocks.append(_block_columns(block, header, indices, path, row_number + 1))
+            row_number, block = row_number + len(block), []
         if not row_number:
             raise DataError(f"{path}: no rows")
     except csv.Error as exc:
         # The reader failed on the header or on the row after the last one
-        # numbered; a bad cell read before it in the same block comes first.
+        # read; a bad cell read before it in the same block comes first.
         if block:
-            _block_columns(block, header, indices, path, row_number)
-        where = "header" if header is None else f"row {row_number + 1}"
+            _block_columns(block, header, indices, path, row_number + 1)
+        where = "header" if header is None else f"row {row_number + len(block) + 1}"
         raise DataError(f"{path}: {where}: {exc}") from None
     actual, *predicted = (np.concatenate(column) for column in zip(*blocks))
     return Dataset(actual=actual, predicted=dict(zip(model_ids, predicted)))

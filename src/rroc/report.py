@@ -53,7 +53,8 @@ class RunConfig:
             raise ConfigError("at least one output kind is required")
         bad = [a for a in self.alphas if not 0.0 <= a <= 1.0]
         if bad:
-            raise ConfigError(f"alpha values outside [0, 1]: {_shown(bad)}")
+            # Each rejected value is listed; only one too long to print is cut.
+            raise ConfigError(f"alpha values outside [0, 1]: [{', '.join(map(_shown, bad))}]")
 
 
 @dataclass

@@ -42,9 +42,9 @@ def generate_synthetic(mu: float, sigma: float, n: int, model: str, seed: int) -
     values under the same seed.
     """
     if n < 1:
-        raise ConfigError(f"n must be >= 1, got {_shown(n)}")
+        raise ConfigError(f"n must be >= 1, got {_shown(n, str)}")
     if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {_shown(seed)}")
+        raise ConfigError(f"seed must be >= 0, got {_shown(seed, str)}")
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model!r} (choose from {', '.join(MODEL_KINDS)})")
     rng = np.random.default_rng(seed)

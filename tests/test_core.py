@@ -248,3 +248,14 @@ def test_huge_int_is_a_package_error_with_a_short_message(call, error):
     with pytest.raises(error) as info:
         call()
     assert len(str(info.value)) < 120, str(info.value)
+
+
+def test_printable_values_keep_their_messages():
+    with pytest.raises(ConfigError, match=r"^n must be >= 1, got 0$"):
+        generate_synthetic(0.0, 1.0, np.int64(0), "random", 1)
+    with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+        generate_synthetic(0.0, 1.0, 5, "random", np.int64(-1))
+    bad = [1.0 + i / 7 for i in range(1, 9)]
+    with pytest.raises(ConfigError) as info:
+        RunConfig(alphas=(0.5, *bad))
+    assert str(info.value) == f"alpha values outside [0, 1]: {bad!r}"

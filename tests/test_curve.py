@@ -323,6 +323,18 @@ class TestNormalizedCurve:
         assert (convex_hull({"m": norm}).vertex_index.tolist()
                 == convex_hull({"m": curve}).vertex_index.tolist() == [0, 1, 2, 3, 4, 5])
 
+    def test_mask_is_derived_when_first_read_and_once_for_both(self, monkeypatch):
+        import rroc.curve
+
+        calls = []
+        original = rroc.curve.distinct_mask
+        monkeypatch.setattr(rroc.curve, "distinct_mask", lambda o, u: calls.append(o) or original(o, u))
+        curve = rroc_curve([1.0, 1.0, -2.0, 0.5])
+        norm = normalized_curve(curve)
+        assert calls == []
+        assert norm.distinct_vertices().tolist() == curve.distinct_vertices().tolist() == [0, 2, 3]
+        assert len(calls) == 1 and calls[0] is curve.over
+
 
 class TestConvexity:
     def test_curves_are_convex(self, errors):
