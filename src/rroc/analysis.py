@@ -244,7 +244,10 @@ def convex_hull(inputs: Dict[str, HullInput]) -> ConvexHull:
     one. A monotone-chain scan over the survivors then removes a point already
     on the chain when it falls strictly below the chord to the incoming point
     (relative epsilon ``COLLINEAR_EPS``), so exactly-collinear frontier points
-    survive. The symbolic extremes are implied as the half-infinite rays.
+    survive. The scan skips its convex runs: the pop test runs on every
+    consecutive triple at once, and the loop visits only the turns, where a
+    point pops, and the points that follow one. The symbolic extremes are
+    implied as the half-infinite rays.
     """
     if not inputs:
         raise DataError("need at least one point or curve")
@@ -253,10 +256,34 @@ def convex_hull(inputs: Dict[str, HullInput]) -> ConvexHull:
     un_sorted = un[order]
     best_before = np.maximum.accumulate(np.concatenate(([-math.inf], un_sorted[:-1])))
     survivors = order[un_sorted > best_before]
-    xs, ys = ov[survivors].tolist(), un[survivors].tolist()
+    picked = survivors[_chain(ov[survivors], un[survivors])]
+    return ConvexHull(ov[picked], un[picked], rank[picked], index[picked], model_ids)
 
+
+def _chain(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the monotone chain through points sorted by increasing x.
+
+    The chain pops its last point when it falls strictly below the chord from
+    the point before it to the incoming one. That test is first evaluated on
+    every consecutive triple at once, with the same operands as in the loop:
+    a triple that pops is a turn. While the chain ends in the two points
+    before the incoming one, every point up to the next turn is pushed
+    without a test, so the loop runs only at turns, through their pops, and
+    at the points after them until the chain is back on consecutive points.
+    """
+    m = x.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        t1 = (x[1:-1] - x[:-2]) * (y[2:] - y[:-2])
+        t2 = (y[1:-1] - y[:-2]) * (x[2:] - x[:-2])
+        pops = (t1 - t2) > COLLINEAR_EPS * np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-300)
+    turns = (np.flatnonzero(pops) + 2).tolist()
+    if not turns:  # one convex run: nothing pops
+        return np.arange(m)
+    xs, ys = x.tolist(), y.tolist()
     chain: List[int] = []
-    for j, (bx, by) in enumerate(zip(xs, ys)):
+
+    def push(j: int) -> None:
+        bx, by = xs[j], ys[j]
         while len(chain) >= 2:
             o, a = chain[-2], chain[-1]
             # Strictly counterclockwise o->a->b means a lies below the chord o-b.
@@ -267,8 +294,17 @@ def convex_hull(inputs: Dict[str, HullInput]) -> ConvexHull:
             chain.pop()
         chain.append(j)
 
-    picked = survivors[chain]
-    return ConvexHull(ov[picked], un[picked], rank[picked], index[picked], model_ids)
+    j = 0
+    for turn in [*turns, m]:
+        while j < turn and chain[-2:] != [j - 2, j - 1]:
+            push(j)
+            j += 1
+        chain.extend(range(j, turn))
+        j = turn
+        if j < m:
+            push(j)
+            j += 1
+    return np.array(chain)
 
 
 @dataclass(frozen=True)

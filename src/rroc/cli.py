@@ -8,9 +8,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
+from operator import methodcaller
 from typing import Optional, Sequence
 
-from .data import write_predictions
+from .data import _write_csv
 from .errors import ConfigError, DataError, RrocError
 from .report import DEFAULT_OUTPUTS, OUTPUT_KINDS, RunConfig, run
 from .svg import render_svg
@@ -77,9 +79,9 @@ def _cmd_analyze(args) -> int:
     # leave partial output files behind.
     payloads = []
     if args.json:
-        payloads.append((args.json, report.to_json()))
+        payloads.append((args.json, methodcaller("write", report.to_json())))
     if args.svg:
-        payloads.append((args.svg, render_svg(report)))
+        payloads.append((args.svg, methodcaller("write", render_svg(report))))
     _write_all(payloads)
     if not payloads:
         sys.stdout.write(report.to_json())
@@ -96,23 +98,24 @@ def _check_targets(paths) -> None:
 
 
 def _write_all(payloads) -> None:
-    """Write (path, text) pairs so that either all targets appear or none.
+    """Write (path, write) pairs so that either all targets appear or none.
 
-    Each text goes to a temp file beside its target; the temp files are moved
-    into place only once every one of them is written, and any left over after
-    a failure are removed.
+    Each ``write`` is called with a UTF-8 text file, opened with
+    ``newline=""``, staged beside its target; the temp files are moved into
+    place only once every one of them is written, and any left over after a
+    failure are removed.
     """
     staged = []
     try:
-        for path, text in payloads:
+        for path, write in payloads:
             tmp = f"{path}.{os.getpid()}.tmp"
             try:
-                fh = open(tmp, "w", encoding="utf-8")
+                fh = open(tmp, "w", encoding="utf-8", newline="")
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
             staged.append(tmp)
             with fh:
-                fh.write(text)
+                write(fh)
         for tmp, (path, _) in zip(staged, payloads):
             os.replace(tmp, path)
     finally:
@@ -124,7 +127,7 @@ def _write_all(payloads) -> None:
 def _cmd_synth(args) -> int:
     mu, sigma = parse_distribution(args.dist)
     dataset = generate_synthetic(mu, sigma, args.n, args.model, args.seed)
-    write_predictions(dataset, args.out)
+    _write_all([(args.out, partial(_write_csv, dataset))])
     return EXIT_OK
 
 

@@ -118,7 +118,9 @@ def distinct_mask(over, under) -> np.ndarray:
     the curve's coordinate scale (the largest ``max(over, -under)`` over the
     finite vertices), so ties survive the float noise of computing errors by
     subtraction. The first vertex of each run is kept, and each vertex is
-    compared with the last kept vertex, not with its neighbour.
+    compared with the last kept vertex, not with its neighbour. Where both
+    coordinates never decrease, the vertices within tol of the last kept one
+    are a run, skipped whole.
     """
     over = np.asarray(over, dtype=float)
     under = np.asarray(under, dtype=float)
@@ -133,26 +135,56 @@ def distinct_mask(over, under) -> np.ndarray:
     # kept vertex or within tol of it. Along a curve whose coordinates never
     # decrease, a vertex more than tol from its neighbour is more than tol from
     # every earlier vertex, so it is kept. Only the rest needs the last kept
-    # vertex, found one vertex at a time.
+    # vertex.
     equal = (d_over == 0.0) & (d_under == 0.0)
     keep[1:] = ~equal
-    if np.all(d_over >= 0.0) and np.all(d_under >= 0.0):
+    monotone = bool(np.all(d_over >= 0.0) and np.all(d_under >= 0.0))
+    if monotone:
         unsettled = ~equal & (d_over <= tol) & (d_under <= tol)
     else:
         unsettled = ~equal
     pending = np.flatnonzero(unsettled) + 1
-    if pending.size:
-        keep[pending] = False
-        index = np.arange(over.size)
-        last_settled = np.maximum.accumulate(np.where(keep, index, 0))
-        last = -1
-        ov, un = over.tolist(), under.tolist()
-        for i in pending.tolist():
-            k = max(last, int(last_settled[i - 1]))
-            if not (abs(ov[i] - ov[k]) <= tol and abs(un[i] - un[k]) <= tol):
-                keep[i] = True
-                last = i
+    if not pending.size:
+        return keep
+    keep[pending] = False
+    last_settled = np.maximum.accumulate(np.where(keep, np.arange(over.size), 0))
+    last = -1
+    if monotone:
+        # The vertices within tol of the last kept one k form a run after it:
+        # the next kept vertex is the first one past tol in either coordinate.
+        p = 0
+        while p < pending.size:
+            k = max(last, int(last_settled[pending[p] - 1]))
+            last = min(_first_past(over, k, tol), _first_past(under, k, tol))
+            if last == over.size:
+                break
+            keep[last] = True
+            p = int(np.searchsorted(pending, last, "right"))
+        return keep
+    ov, un = over.tolist(), under.tolist()
+    for i in pending.tolist():
+        k = max(last, int(last_settled[i - 1]))
+        if not (abs(ov[i] - ov[k]) <= tol and abs(un[i] - un[k]) <= tol):
+            keep[i] = True
+            last = i
     return keep
+
+
+def _first_past(column: np.ndarray, k: int, tol: float) -> int:
+    """The first index i > k with ``column[i] - column[k] > tol`` in a nondecreasing column.
+
+    ``searchsorted`` finds it up to the rounding of ``column[k] + tol``; since
+    ``column[i] - column[k]`` never decreases with ``column[i]``, stepping over
+    whole runs of equal values settles the exact boundary. The column's size
+    means there is none.
+    """
+    base = column.item(k)
+    i = int(np.searchsorted(column, base + tol, "right"))
+    while i > k + 1 and not column.item(i - 1) - base <= tol:
+        i = int(np.searchsorted(column, column[i - 1], "left"))
+    while i < column.size and column.item(i) - base <= tol:
+        i = int(np.searchsorted(column, column[i], "right"))
+    return i
 
 
 def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:

@@ -229,11 +229,16 @@ def write_predictions(dataset: Dataset, path) -> None:
     Rows are written in blocks of ``_BLOCK_RECORDS``, each column of a block
     taken as Python floats with one ``tolist``.
     """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        _write_csv(dataset, fh)
+
+
+def _write_csv(dataset: Dataset, fh) -> None:
+    """Write a Dataset as CSV to a text file opened with ``newline=""``."""
     model_ids = dataset.model_ids
     columns = [dataset.actual, *(dataset.predicted[m] for m in model_ids)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([ACTUAL_COLUMN] + [PREDICTED_PREFIX + m for m in model_ids])
-        for start in range(0, dataset.n, _BLOCK_RECORDS):
-            block = [map(repr, c[start:start + _BLOCK_RECORDS].tolist()) for c in columns]
-            writer.writerows(zip(*block))
+    writer = csv.writer(fh)
+    writer.writerow([ACTUAL_COLUMN] + [PREDICTED_PREFIX + m for m in model_ids])
+    for start in range(0, dataset.n, _BLOCK_RECORDS):
+        block = [map(repr, c[start:start + _BLOCK_RECORDS].tolist()) for c in columns]
+        writer.writerows(zip(*block))

@@ -6,6 +6,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -95,27 +96,38 @@ class EvaluationReport:
         vertex, hull-point and dominance rows are written from the columns,
         each float as ``repr`` writes it, as ``json`` does; a non-finite value
         raises the ``ValueError`` of ``json.dumps(..., allow_nan=False)``.
+
+        Each text is made once. A hull row naming a curve vertex whose written
+        coordinates it shares bit for bit takes that vertex's texts, the
+        dominance rows take their hull rows' texts, and the int columns read
+        one list of the texts of 0, 1, 2, ...
         """
+        return _object(self._json_fields(), end="}\n")
+
+    def _json_fields(self):
+        """(key, JSON text) of each field; the shared texts are freed once the last is made."""
         scale = self.axis_scale
-        hull_texts = None if self.hull is None else _hull_texts(self.hull, scale)
-        fields = []
+        curves = [entry["curve"] for entry in self.models.values() if "curve" in entry]
+        hull = self.hull if self.hull is not None else getattr(self.dominance, "hull", None)
+        hull_texts = None if hull is None else _HullTexts(hull, scale)
+        ints = _int_texts([c for curve in curves for c in (curve.n_over, curve.n_under)]
+                          + ([] if self.hull is None else [self.hull.vertex_index]))
         for key, value in vars(self).items():
             if value is None:
                 continue
             if key == "models":
-                text = _object((m, _entry_json(entry, scale, self.config["normalize"]))
+                text = _object((m, _entry_json(m, entry, scale, self.config["normalize"], ints, hull_texts))
                                for m, entry in value.items())
             elif key == "hull":
                 level = "curves" if "curves" in self.config["outputs"] else "points"
-                text = _hull_json(value, hull_texts, level)
+                text = _hull_json(value, hull_texts.columns, ints, level)
             elif key == "dominance":
                 # The dominance points are hull rows: their texts are reused.
-                texts = hull_texts if value.hull is self.hull else _hull_texts(value.hull, scale)
-                text = _dominance_json(value, texts)
+                texts = hull_texts if value.hull is hull else _HullTexts(value.hull, scale)
+                text = _dominance_json(value, texts.columns)
             else:
                 text = _dumps(value)
-            fields.append((key, text))
-        return _object(fields, end="}\n")
+            yield key, text
 
 
 def _dumps(value) -> str:
@@ -136,7 +148,7 @@ def _object(items, end: str = "}") -> str:
 
 
 def _texts(column) -> List[str]:
-    """Each value of a numeric column as ``json`` writes it.
+    """Each value of a float column as ``json`` writes it.
 
     A non-finite float is handed to ``json.dumps``, which raises its own
     ``ValueError`` for it.
@@ -147,36 +159,87 @@ def _texts(column) -> List[str]:
     return list(map(repr, column.tolist()))
 
 
-def _entry_json(entry: dict, scale: float, normalized: bool) -> str:
-    return _object((k, _curve_json(v, scale, normalized) if k == "curve" else _dumps(v))
-                   for k, v in entry.items())
+def _int_texts(columns) -> np.ndarray:
+    """The texts of 0 up to the largest value in the int columns, to gather from."""
+    top = max([0, *(int(c.max()) for c in columns if c.size)])
+    return np.array(list(map(str, range(top + 1))), dtype=object)
 
 
-def _curve_json(curve: RrocCurve, scale: float, normalized: bool) -> str:
+def _entry_json(model_id: str, entry: dict, scale: float, normalized: bool, ints, hull_texts) -> str:
+    return _object((k, _curve_json(model_id, v, scale, normalized, ints, hull_texts) if k == "curve"
+                    else _dumps(v)) for k, v in entry.items())
+
+
+def _curve_json(model_id: str, curve: RrocCurve, scale: float, normalized: bool, ints, hull_texts) -> str:
     """A curve's JSON with its coordinates divided by scale.
 
-    The distinct vertices are counted on the raw curve, as the hull indexes them.
+    The distinct vertices are counted on the raw curve, as the hull indexes
+    them. The coordinate texts are handed to the hull rows that name them.
     """
     distinct = curve.distinct_vertices().size
-    columns = (curve.over / scale, curve.under / scale, curve.shift, curve.n_over, curve.n_under)
+    over, under = _texts(curve.over / scale), _texts(curve.under / scale)
+    if hull_texts is not None:
+        hull_texts.take(model_id, curve, over, under)
     rows = ",".join([
         f'{{"over":{o},"under":{u},"shift":{s},"n_over":{a},"n_under":{b}}}'
-        for o, u, s, a, b in zip(*map(_texts, columns))
+        for o, u, s, a, b in zip(over, under, _texts(curve.shift), ints[curve.n_over].tolist(),
+                                 ints[curve.n_under].tolist())
     ])
     return f'{{"normalized":{_dumps(normalized)},"distinct_vertex_count":{distinct},"vertices":[{rows}]}}'
 
 
-def _hull_texts(hull: ConvexHull, scale: float):
-    """(over, under, model) texts of each hull row, coordinates divided by scale."""
-    ids = [_dumps(m) for m in hull.model_ids]
-    return _texts(hull.over / scale), _texts(hull.under / scale), [ids[r] for r in hull.model_rank.tolist()]
+class _HullTexts:
+    """The (over, under, model) texts of each hull row, coordinates divided by scale.
+
+    ``take`` hands over the texts a curve's rows were written with: a row
+    naming a vertex of that curve takes the vertex's texts, gathered at once,
+    when its divided coordinates equal the vertex's bit for bit (so -0.0 and
+    0.0 differ). ``columns`` writes the other rows from the hull's own columns.
+    """
+
+    def __init__(self, hull: ConvexHull, scale: float):
+        self.hull = hull
+        self.scale = scale
+        self.over = np.empty(hull.over.size, dtype=object)
+        self.under = np.empty(hull.over.size, dtype=object)
+        self.taken = np.zeros(hull.over.size, dtype=bool)
+
+    def take(self, model_id: str, curve: RrocCurve, over: List[str], under: List[str]) -> None:
+        h, scale = self.hull, self.scale
+        if model_id not in h.model_ids:
+            return
+        rows = np.flatnonzero((h.model_rank == h.model_ids.index(model_id)) & (h.vertex_index >= 0))
+        distinct = curve.distinct_vertices()
+        rows = rows[h.vertex_index[rows] < distinct.size]
+        vertex = distinct[h.vertex_index[rows]]
+        same = ((_bits(h.over[rows] / scale) == _bits(curve.over[vertex] / scale))
+                & (_bits(h.under[rows] / scale) == _bits(curve.under[vertex] / scale)))
+        rows, vertex = rows[same], vertex[same]
+        if rows.size:
+            self.over[rows] = np.array(over, dtype=object)[vertex]
+            self.under[rows] = np.array(under, dtype=object)[vertex]
+            self.taken[rows] = True
+
+    @cached_property
+    def columns(self) -> Tuple[List[str], List[str], List[str]]:
+        h, own = self.hull, ~self.taken
+        self.over[own] = _texts(h.over[own] / self.scale)
+        self.under[own] = _texts(h.under[own] / self.scale)
+        ids = np.array([_dumps(m) for m in h.model_ids], dtype=object)
+        return self.over.tolist(), self.under.tolist(), ids[h.model_rank].tolist()
 
 
-def _hull_json(hull: ConvexHull, texts, level: str) -> str:
-    index = ["null" if k < 0 else k for k in hull.vertex_index.tolist()]
+def _bits(values) -> np.ndarray:
+    """The float64 values as their bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _hull_json(hull: ConvexHull, texts, ints, level: str) -> str:
+    index = ints[np.maximum(hull.vertex_index, 0)]
+    index[hull.vertex_index < 0] = "null"
     rows = ",".join([
         f'{{"over":{o},"under":{u},"model":{m},"vertex_index":{k}}}'
-        for o, u, m, k in zip(*texts, index)
+        for o, u, m, k in zip(*texts, index.tolist())
     ])
     return f'{{"level":{_dumps(level)},"points":[{rows}]}}'
 

@@ -43,6 +43,10 @@ def generate_synthetic(mu: float, sigma: float, n: int, model: str, seed: int) -
     """
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {_shown(n, str)}")
+    # The most float64 values whose size in bytes numpy can describe.
+    largest = np.iinfo(np.intp).max // np.dtype(float).itemsize
+    if n > largest:
+        raise ConfigError(f"n must be at most {largest}, got {_shown(n, str)}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {_shown(seed, str)}")
     if model not in MODEL_KINDS:

@@ -435,15 +435,27 @@ def reference_dominance(hull_points):
     return regions
 
 
+# Longer lattice errors, drawn independently per model: their curves cross,
+# so the hull chain meets convex runs, turns and pops where the runs meet.
+long_lattice_errors = st.lists(st.integers(-1000, 1000), min_size=40, max_size=200).map(
+    lambda xs: np.asarray(xs, dtype=float) / 100.0
+)
+
+
 @st.composite
 def hull_inputs(draw):
     """Curves and points of several models with ties, near-ties and collinear points.
 
     Each lattice error vector may also enter as an exact copy (tied curves),
     shifted by a constant or scaled by 1 + 1e-12 (curves equal up to float
-    noise), or as its point. Extra points on one line of slope 1 are collinear.
+    noise), or as its point. Longer independent error vectors, with their own
+    bias and scale, give crossing curves. Extra points on one line of slope 1
+    are collinear.
     """
     inputs = {}
+    for e in draw(st.lists(long_lattice_errors, max_size=3)):
+        bias, scale = draw(st.sampled_from([-1.0, 0.0, 0.5])), draw(st.sampled_from([0.8, 1.0, 1.25]))
+        inputs[f"c{len(inputs)}"] = rroc_curve(bias + scale * e)
     for e in draw(st.lists(lattice_errors, min_size=1, max_size=3)):
         for variant in draw(st.lists(st.sampled_from(["curve", "copy", "shift", "scale", "point"]),
                                      min_size=1, max_size=3)):

@@ -344,6 +344,53 @@ class TestJsonWriter:
             report.to_json()
         assert str(got.value) == str(strict.value)
 
+    @staticmethod
+    def crossing_report(normalize):
+        """A curve-level report of three models whose curves cross, so the hull mixes them."""
+        rng = np.random.default_rng(17)
+        actual = rng.normal(0.0, 1.0, 400)
+        # Model "b" has quarter-lattice errors: tied curve vertices.
+        predicted = {"a": actual + rng.normal(0.2, 1.0, 400),
+                     "b": actual + np.round(rng.normal(-0.1, 1.0, 400) * 4) / 4,
+                     "c": actual + rng.laplace(0.0, 0.8, 400)}
+        config = RunConfig(outputs=("points", "curves", "hull", "dominance"), normalize=normalize,
+                           reproducible=True)
+        return run(config, Dataset(actual, predicted))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_hull_rows_take_their_curve_vertex_texts(self, normalize, monkeypatch):
+        import rroc.report as report_module
+
+        report = self.crossing_report(normalize)
+        assert len(set(report.hull.model_rank.tolist())) > 1
+        texted = []
+        texts = report_module._texts
+        monkeypatch.setattr(report_module, "_texts", lambda column: texted.append(column.size) or texts(column))
+        assert report.to_json() == reference_json(report)
+        # Over, under and shift of every vertex and the dominance highs; no hull row is texted again.
+        assert sum(texted) == 3 * sum(e["curve"].n for e in report.models.values()) + report.dominance.alpha_high.size
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_hull_row_unlike_its_vertex_keeps_its_own_text(self, normalize):
+        from rroc import ConvexHull, DominanceMap
+
+        report = self.crossing_report(normalize)
+        h, d = report.hull, report.dominance
+        over, under = h.over.copy(), h.under.copy()
+        # The last hull row is a curve's last vertex, whose under is a zero:
+        # the row gets the other zero, equal to it but written differently.
+        assert under[-1] == 0.0 and h.vertex_index[-1] >= 0
+        under[-1] = -under[-1]
+        over[0] = np.nextafter(over[0], math.inf)
+        hull = ConvexHull(over, under, h.model_rank, h.vertex_index, h.model_ids)
+        report = replace(report, hull=hull, dominance=DominanceMap(d.alpha_high, d.hull_row, hull))
+        text = report.to_json()
+        assert text == reference_json(report)
+        hull_text = text[text.index('"hull":'):text.index('"dominance":')]
+        model = json.dumps(h.model_ids[h.model_rank[-1]])
+        zero = repr(float(under[-1]) / report.axis_scale)
+        assert hull_text.endswith(f'"under":{zero},"model":{model},"vertex_index":{h.vertex_index[-1]}}}]}},')
+
 
 def dense_error_density(errors, points=256):
     """Reference: error_density as the exact Gaussian kernel sum at every grid point.
@@ -748,6 +795,41 @@ class TestCli:
              "--out", str(tmp_path / "x.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("n", [str(2**60), str(2**63 - 1), "100000000000000000000000000000"])
+    def test_n_beyond_any_array_is_config_error(self, tmp_path, capsys, n):
+        # Each n is rejected before anything is drawn: no memory is allocated.
+        code = main(["synth", "--n", n, "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: configuration error: n must be at most")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_synth_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        import errno
+
+        import rroc.cli as cli_module
+
+        write_csv = cli_module._write_csv
+
+        class FullDisk:
+            """Passes the first writes to the staged file, then fails as a full disk does."""
+
+            def __init__(self, fh):
+                self.fh, self.calls = fh, 0
+
+            def write(self, text):
+                self.calls += 1
+                if self.calls > 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli_module, "_write_csv", lambda dataset, fh: write_csv(dataset, FullDisk(fh)))
+        code = main(["synth", "--n", "5000", "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
