@@ -18,7 +18,6 @@ from .analysis import (
     HybridSegment,
     Isometric,
     best_point_for_alpha,
-    best_vertex_for_alpha,
     convex_hull,
     dominance_map,
     hybrid_segment,
@@ -60,8 +59,6 @@ from .shift import (
     cost_curve,
     default_alpha_grid,
     optimal_constant_shift,
-    trained_constant_shift,
-    zero_bias_shift,
 )
 from .svg import render_svg
 from .synth import generate_synthetic
@@ -74,11 +71,9 @@ __all__ = [
     "aoc_brute_force", "default_shift_grid", "distinct_mask", "normalized_curve", "is_convex",
     "Isometric", "HybridSegment", "HullPoint", "ConvexHull",
     "DominanceRegion", "DominanceMap",
-    "isometric_through", "best_point_for_alpha", "best_vertex_for_alpha",
-    "hybrid_segment", "convex_hull", "dominance_map",
+    "isometric_through", "best_point_for_alpha", "hybrid_segment", "convex_hull", "dominance_map",
     "ShiftMethod", "NoShift", "OptimalConstantShift", "TrainedConstantShift",
-    "CostCurve", "apply_shift", "zero_bias_shift", "optimal_constant_shift",
-    "trained_constant_shift", "cost_curve", "default_alpha_grid",
+    "CostCurve", "apply_shift", "optimal_constant_shift", "cost_curve", "default_alpha_grid",
     "Dataset", "load_predictions", "write_predictions",
     "RunConfig", "EvaluationReport", "run", "error_density",
     "render_svg", "generate_synthetic",

@@ -19,16 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import (
-    OVER_EXTREME,
-    UNDER_EXTREME,
-    ConditionLike,
-    RrocPoint,
-    _alpha_of,
-    _total_losses,
-    total_loss,
-)
-from .curve import RrocCurve, _optimal_vertices
+from .core import ConditionLike, RrocPoint, _alpha_of, _total_losses, total_loss
+from .curve import RrocCurve
 from .errors import DataError
 
 __all__ = [
@@ -40,7 +32,6 @@ __all__ = [
     "DominanceMap",
     "isometric_through",
     "best_point_for_alpha",
-    "best_vertex_for_alpha",
     "hybrid_segment",
     "convex_hull",
     "dominance_map",
@@ -94,20 +85,6 @@ def best_point_for_alpha(
     return points[best], float(loss[best])
 
 
-def best_vertex_for_alpha(curve: RrocCurve, oc: ConditionLike) -> Tuple[int, float]:
-    """Interior index and total loss of the curve vertex optimal at alpha.
-
-    The curve must be the sweep of an error vector, as ``rroc_curve`` builds
-    it: the optimum is then the vertex whose two adjacent segment slopes
-    bracket (1-alpha)/alpha, read off the slope ladder without a scan. At
-    alpha = 0 that is the first vertex (OVER = 0), at alpha = 1 the last
-    (UNDER = 0). Ties follow ``optimal_constant_shift``: the smallest |shift|,
-    then the positive one. For arbitrary points use ``best_point_for_alpha``.
-    """
-    index, loss = _optimal_vertices(curve, [_alpha_of(oc)])
-    return int(index[0]), float(loss[0])
-
-
 @dataclass(frozen=True)
 class HybridSegment:
     """The segment of models mixable from two endpoint models.
@@ -150,14 +127,15 @@ def hybrid_segment(a: RrocPoint, b: RrocPoint) -> HybridSegment:
 
 @dataclass(frozen=True)
 class HullPoint:
-    """A hull vertex with its provenance.
+    """A finite hull vertex with its provenance.
 
-    ``model_id`` is None for the two symbolic extremes. For points taken from
-    a curve, ``vertex_index`` indexes that curve's ``distinct_vertices()``.
+    ``model_id`` names the input it came from. For points taken from a curve,
+    ``vertex_index`` indexes that curve's ``distinct_vertices()``; it is None
+    for point inputs.
     """
 
     point: RrocPoint
-    model_id: Optional[str]
+    model_id: str
     vertex_index: Optional[int]
 
 
@@ -176,10 +154,10 @@ class ConvexHull:
     for point inputs). They are exactly the candidates that are loss-optimal
     for some alpha (collinear frontier points are kept: they are optimal for
     the same alpha but are distinct achievable operating points). Every input
-    point not on the hull is suboptimal for every alpha.
+    point not on the hull is suboptimal for every alpha. The (0, -inf) and
+    (inf, 0) extremes are implied at either end.
 
-    ``points`` adds the (0, -inf) and (inf, 0) extremes at either end. It and
-    ``finite_points`` are tuples of ``HullPoint``, built once on first access.
+    ``finite_points`` is the tuple of ``HullPoint``, built once on first access.
     """
 
     def __init__(self, over, under, model_rank, vertex_index, model_ids):
@@ -196,11 +174,6 @@ class ConvexHull:
             for o, u, r, k in zip(self.over.tolist(), self.under.tolist(),
                                   self.model_rank.tolist(), self.vertex_index.tolist())
         )
-
-    @cached_property
-    def points(self) -> tuple:
-        return (HullPoint(UNDER_EXTREME, None, None), *self.finite_points,
-                HullPoint(OVER_EXTREME, None, None))
 
 
 HullInput = Union[RrocPoint, RrocCurve]
@@ -318,7 +291,7 @@ class DominanceRegion:
 
     alpha_low: float
     alpha_high: float
-    model_id: Optional[str]
+    model_id: str
     point: RrocPoint
 
 

@@ -8,11 +8,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import partial
 from operator import methodcaller
 from typing import Optional, Sequence
 
-from .data import _write_csv
+from .data import _write_all, write_predictions
 from .errors import ConfigError, DataError, RrocError
 from .report import DEFAULT_OUTPUTS, OUTPUT_KINDS, RunConfig, run
 from .svg import render_svg
@@ -73,7 +72,7 @@ def _cmd_analyze(args) -> int:
         normalize=args.normalize,
         reproducible=args.reproducible,
     )
-    _check_targets([path for path in (args.json, args.svg) if path])
+    _check_targets([path for path in (args.json, args.svg) if path], args.input)
     report = run(config)
     # Render everything before writing anything: a failed stage must not
     # leave partial output files behind.
@@ -88,46 +87,24 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _check_targets(paths) -> None:
-    """Reject targets that could not all be written: one file twice, or a directory."""
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
+def _check_targets(paths, source) -> None:
+    """Reject targets that could not all be written (one file twice, or a
+    directory) and a target that would replace the input file ``source``."""
+    real = [os.path.realpath(path) for path in paths]
+    if len(set(real)) < len(paths):
         raise ConfigError(f"--json and --svg name the same file {paths[0]!r}")
+    source = os.path.realpath(source)
+    if source in real:
+        raise ConfigError(f"output target {paths[real.index(source)]!r} is the input file")
     for path in paths:
         if os.path.isdir(path):
             raise DataError(f"{path}: output target is a directory")
 
 
-def _write_all(payloads) -> None:
-    """Write (path, write) pairs so that either all targets appear or none.
-
-    Each ``write`` is called with a UTF-8 text file, opened with
-    ``newline=""``, staged beside its target; the temp files are moved into
-    place only once every one of them is written, and any left over after a
-    failure are removed.
-    """
-    staged = []
-    try:
-        for path, write in payloads:
-            tmp = f"{path}.{os.getpid()}.tmp"
-            try:
-                fh = open(tmp, "w", encoding="utf-8", newline="")
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
-            staged.append(tmp)
-            with fh:
-                write(fh)
-        for tmp, (path, _) in zip(staged, payloads):
-            os.replace(tmp, path)
-    finally:
-        for tmp in staged:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-
-
 def _cmd_synth(args) -> int:
     mu, sigma = parse_distribution(args.dist)
     dataset = generate_synthetic(mu, sigma, args.n, args.model, args.seed)
-    _write_all([(args.out, partial(_write_csv, dataset))])
+    write_predictions(dataset, args.out)
     return EXIT_OK
 
 

@@ -116,10 +116,6 @@ class RrocPoint:
         return math.hypot(self.over, self.under)
 
 
-UNDER_EXTREME = RrocPoint(0.0, -math.inf)
-OVER_EXTREME = RrocPoint(math.inf, 0.0)
-
-
 @dataclass(frozen=True)
 class SummaryMetrics:
     """Scalar error metrics for one model on one dataset.

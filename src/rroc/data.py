@@ -1,4 +1,4 @@
-"""Dataset container and CSV ingestion.
+"""Dataset container, CSV ingestion and the all-or-nothing file writer.
 
 Input format: a UTF-8 CSV with a header row, an ``actual`` column and either
 a single ``predicted`` column or one ``predicted:<model-id>`` column per
@@ -13,8 +13,10 @@ import csv
 import io
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict
 
 import numpy as np
@@ -226,11 +228,11 @@ def _parse_cell(raw, column: str, path, row_number: int) -> float:
 def write_predictions(dataset: Dataset, path) -> None:
     """Write a Dataset as CSV; floats use repr so re-ingestion is lossless.
 
+    The file is staged by ``_write_all``, so a failed write leaves no file.
     Rows are written in blocks of ``_BLOCK_RECORDS``, each column of a block
     taken as Python floats with one ``tolist``.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_csv(dataset, fh)
+    _write_all([(path, partial(_write_csv, dataset))])
 
 
 def _write_csv(dataset: Dataset, fh) -> None:
@@ -242,3 +244,31 @@ def _write_csv(dataset: Dataset, fh) -> None:
     for start in range(0, dataset.n, _BLOCK_RECORDS):
         block = [map(repr, c[start:start + _BLOCK_RECORDS].tolist()) for c in columns]
         writer.writerows(zip(*block))
+
+
+def _write_all(payloads) -> None:
+    """Write (path, write) pairs so that either all targets appear or none.
+
+    Each ``write`` is called with a UTF-8 text file, opened with
+    ``newline=""``, staged beside its target; the temp files are moved into
+    place only once every one of them is written, and any left over after a
+    failure are removed. An ``OSError`` from opening, writing or closing a
+    staged file is raised again naming its target.
+    """
+    staged = []
+    try:
+        for path, write in payloads:
+            tmp = f"{path}.{os.getpid()}.tmp"
+            try:
+                fh = open(tmp, "w", encoding="utf-8", newline="")
+                staged.append(tmp)
+                with fh:
+                    write(fh)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for tmp, (path, _) in zip(staged, payloads):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            if os.path.exists(tmp):
+                os.remove(tmp)

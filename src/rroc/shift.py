@@ -20,7 +20,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import ConditionLike, RrocPoint, _alpha_of, _total_losses, as_errors, over_under, total_loss
+# ``over_under`` is not called here. It stays bound because rrocbench's
+# harness test checks that its tracer wraps this binding too.
+from .core import ConditionLike, _alpha_of, _total_losses, as_errors, over_under
 from .curve import RrocCurve, _optimal_vertices, over_under_at, rroc_curve
 from .errors import DataError, _shown
 
@@ -31,9 +33,7 @@ __all__ = [
     "TrainedConstantShift",
     "CostCurve",
     "apply_shift",
-    "zero_bias_shift",
     "optimal_constant_shift",
-    "trained_constant_shift",
     "cost_curve",
     "default_alpha_grid",
 ]
@@ -53,15 +53,6 @@ def apply_shift(predictions, s: float) -> np.ndarray:
     return np.asarray(predictions, dtype=float) + shift
 
 
-def zero_bias_shift(errors) -> float:
-    """The shift -mean(e) that zeroes the error bias of the shifted model.
-
-    This is the squared-error optimum, kept as a convenience; it is not the
-    minimizer of the asymmetric absolute loss (see optimal_constant_shift).
-    """
-    return float(-np.mean(as_errors(errors)))
-
-
 def optimal_constant_shift(errors, oc: ConditionLike) -> Tuple[float, float]:
     """The constant shift minimizing the total asymmetric loss, with its loss.
 
@@ -72,22 +63,6 @@ def optimal_constant_shift(errors, oc: ConditionLike) -> Tuple[float, float]:
     curve = rroc_curve(errors)
     i, loss = _optimal_vertices(curve, [_alpha_of(oc)])
     return float(curve.shift[i[0]]), float(loss[0])
-
-
-def trained_constant_shift(
-    train_errors, oc: ConditionLike, test_errors
-) -> Tuple[RrocPoint, float]:
-    """Pick the best shift on the training errors, apply it to the test errors.
-
-    Returns the test-set (OVER, UNDER) point and its total loss. The shift is
-    optimal for the training set only, so the test loss is at least the
-    optimal test loss; the gap shrinks as the two error distributions match.
-    """
-    a = _alpha_of(oc)
-    s, _ = optimal_constant_shift(train_errors, a)
-    e = as_errors(test_errors)
-    point = over_under(e + s)
-    return point, total_loss(point, a)
 
 
 class ShiftMethod:

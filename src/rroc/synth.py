@@ -52,11 +52,14 @@ def generate_synthetic(mu: float, sigma: float, n: int, model: str, seed: int) -
     if model not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model!r} (choose from {', '.join(MODEL_KINDS)})")
     rng = np.random.default_rng(seed)
-    actual = rng.normal(mu, sigma, n)
-    if model == "random":
-        predictions = rng.normal(mu, sigma, n)
-    elif model == "actual-plus-noise":
-        predictions = actual + rng.normal(0.0, sigma, n)
-    else:
-        predictions = np.full(n, actual.mean())
+    # A draw, sum or mean beyond the float range is inf or nan, which Dataset
+    # rejects as a data error; numpy need not warn about it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        actual = rng.normal(mu, sigma, n)
+        if model == "random":
+            predictions = rng.normal(mu, sigma, n)
+        elif model == "actual-plus-noise":
+            predictions = actual + rng.normal(0.0, sigma, n)
+        else:
+            predictions = np.full(n, actual.mean())
     return Dataset(actual=actual, predicted={model: predictions})

@@ -11,7 +11,6 @@ from rroc import (
     RrocCurve,
     RrocPoint,
     best_point_for_alpha,
-    best_vertex_for_alpha,
     convex_hull,
     dominance_map,
     hybrid_segment,
@@ -22,8 +21,8 @@ from rroc import (
     total_loss,
 )
 from rroc.analysis import COLLINEAR_EPS
-from rroc.core import OVER_EXTREME, UNDER_EXTREME
-from rroc.curve import distinct_mask
+from rroc.core import _total_losses
+from rroc.curve import _optimal_vertices, distinct_mask
 
 from .test_curve import lattice_errors, tied_errors
 
@@ -137,46 +136,55 @@ class TestBestPointAgainstReference:
             assert loss == want_loss
 
 
+def best_vertex(curve, alpha):
+    """Index and total loss of the vertex that the optimal-vertex rule picks at one alpha."""
+    index, loss = _optimal_vertices(curve, [alpha])
+    return int(index[0]), float(loss[0])
+
+
 class TestBestVertex:
     def test_alpha_zero_picks_first_vertex(self, errors):
         curve = rroc_curve(errors["m1"])
-        k, loss = best_vertex_for_alpha(curve, 0.0)
+        k, loss = best_vertex(curve, 0.0)
         assert curve.over[k] == 0.0
         assert loss == 0.0
 
     def test_alpha_one_picks_last_vertex(self, errors):
         curve = rroc_curve(errors["m1"])
-        k, loss = best_vertex_for_alpha(curve, 1.0)
+        k, loss = best_vertex(curve, 1.0)
         assert curve.under[k] == 0.0
         assert loss == 0.0
 
     def test_matches_optimal_shift_loss(self, errors):
+        # The loss of the picked vertex is the least total loss of any vertex.
         e = errors["m1"]
         curve = rroc_curve(e)
         for alpha in np.linspace(0, 1, 21):
-            _, vertex_loss = best_vertex_for_alpha(curve, float(alpha))
             _, shift_loss = optimal_constant_shift(e, float(alpha))
-            assert vertex_loss == pytest.approx(shift_loss, rel=1e-12, abs=1e-12)
+            vertex_min = min(total_loss(RrocPoint(o, u), float(alpha))
+                             for o, u in zip(curve.over.tolist(), curve.under.tolist()))
+            assert shift_loss == pytest.approx(vertex_min, rel=1e-12, abs=1e-12)
 
     @given(tied_errors, st.integers(0, 8))
     @example(np.array([0, 0.25, -0.5, 0.25, 0.5, -0.25, 0, 1]), 1)
     @settings(max_examples=300, deadline=None)
     def test_names_the_optimal_constant_shift_vertex(self, e, eighths):
         # Quarter-lattice errors at alphas in steps of 1/8 give exact loss
-        # ties between distinct vertices; both must take the same one.
+        # ties between distinct vertices. Of the vertices of least loss the
+        # optimal shift is the one of smallest |shift|, then the positive one.
         alpha = eighths / 8
         curve = rroc_curve(e)
-        index, loss = best_vertex_for_alpha(curve, alpha)
-        shift, shift_loss = optimal_constant_shift(e, alpha)
-        assert curve.shift[index] == shift
-        assert loss == shift_loss
+        losses = _total_losses(curve.over, curve.under, alpha)
+        tied = curve.shift[losses == losses.min()].tolist()
+        want = min(tied, key=lambda s: (abs(s), -s))
+        assert optimal_constant_shift(e, alpha) == (want, losses.min())
 
     def test_bracketing_segment_slopes(self, errors):
         e = errors["m1"]
         curve = rroc_curve(e)
         n = curve.n
         for alpha in [0.13, 0.34, 0.52, 0.77, 0.99]:
-            index, _ = best_vertex_for_alpha(curve, alpha)
+            index, _ = best_vertex(curve, alpha)
             k = index + 1  # vertex k sits between segments k, k+1
             iso_slope = (1 - alpha) / alpha
             slope_before = math.inf if k == 1 else (n + 1 - k) / (k - 1)
@@ -224,9 +232,6 @@ class TestConvexHull:
         hull = convex_hull(points)
         ids = [hp.model_id for hp in hull.finite_points]
         assert ids == ["m1", "m3"]
-        first, last = hull.points[0], hull.points[-1]
-        assert (first.point.over, first.point.under) == (0.0, -math.inf)
-        assert (last.point.over, last.point.under) == (math.inf, 0.0)
 
     def test_curve_level_has_twelve_points(self, errors):
         curves = {m: rroc_curve(errors[m], m) for m in ("m1", "m2", "m3")}
@@ -240,7 +245,6 @@ class TestConvexHull:
     def test_single_point(self, points):
         hull = convex_hull({"m1": points["m1"]})
         assert [hp.model_id for hp in hull.finite_points] == ["m1"]
-        assert len(hull.points) == 3
 
     def test_collinear_points_retained(self):
         pts = {
@@ -298,8 +302,6 @@ class TestConvexHull:
         hull = convex_hull(curves)
         finite = hull.finite_points
         assert finite is hull.finite_points
-        assert all(a is b for a, b in zip(hull.points[1:-1], finite))
-        assert len(hull.points) == len(finite) + 2
         assert hull.over.tolist() == [hp.point.over for hp in finite]
         assert hull.under.tolist() == [hp.point.under for hp in finite]
         assert [hull.model_ids[r] for r in hull.model_rank.tolist()] == [hp.model_id for hp in finite]
@@ -481,7 +483,6 @@ class TestHullAgainstReference:
         expected = reference_hull(inputs)
         got = [(hp.point.over, hp.point.under, hp.model_id, hp.vertex_index) for hp in hull.finite_points]
         assert got == expected
-        assert (hull.points[0].point, hull.points[-1].point) == (UNDER_EXTREME, OVER_EXTREME)
         want_regions = reference_dominance(expected)
         for dm in (dominance_map(inputs), dominance_map(hull)):
             regions = [(r.alpha_low, r.alpha_high, r.model_id, r.point.over, r.point.under)

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import itertools
 import math
@@ -215,6 +216,38 @@ class TestRoundTrip:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         lines = (tmp_path / "new.csv").read_text().splitlines()
         assert lines[1].startswith("-0.0,0.0,") and lines[3].startswith("5e-324,-5e-324,")
+
+    @pytest.mark.parametrize("fails_on", ["write", "close"])
+    def test_full_disk_leaves_no_file_and_names_the_target(self, tmp_path, monkeypatch, fails_on):
+        real_open = open
+
+        class FullDisk:
+            """The staged file, failing as a full disk does: on a later write, or on close."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if fails_on == "write" and self.writes > 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+                if fails_on == "close":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(rroc.data, "open", lambda *a, **k: FullDisk(real_open(*a, **k)), raising=False)
+        target = tmp_path / "x.csv"
+        with pytest.raises(OSError) as info:
+            write_predictions(generate_synthetic(0.0, 1.0, 5000, "random", seed=1), target)
+        assert info.value.errno == errno.ENOSPC
+        assert str(target) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 # The record-by-record loader that the block loader replaced: csv.DictReader

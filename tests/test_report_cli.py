@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from rroc import DataError, RunConfig, error_density, render_svg, run
@@ -26,7 +27,7 @@ from rroc.curve import distinct_mask, normalized_curve
 from rroc.data import Dataset
 from rroc.errors import ConfigError
 from rroc.report import OUTPUT_KINDS
-from rroc.synth import generate_synthetic
+from rroc.synth import MODEL_KINDS, generate_synthetic
 
 
 def analyze(predictions_csv, **kwargs):
@@ -728,6 +729,18 @@ class TestCli:
         assert err.startswith("rroc: configuration error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [predictions_csv]
 
+    @pytest.mark.parametrize("flag", ["--json", "--svg"])
+    def test_target_naming_the_input_is_config_error(self, predictions_csv, tmp_path, capsys, flag):
+        before = predictions_csv.read_bytes()
+        alias = tmp_path / "." / predictions_csv.name
+        code = main(["analyze", "--input", str(predictions_csv), flag, str(alias)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rroc: configuration error: ") and err.count("\n") == 1
+        assert "is the input file" in err
+        assert list(tmp_path.iterdir()) == [predictions_csv]
+        assert predictions_csv.read_bytes() == before
+
     def test_directory_target_is_data_error(self, predictions_csv, tmp_path, capsys):
         target = tmp_path / "adir"
         target.mkdir()
@@ -808,9 +821,9 @@ class TestCli:
     def test_failed_synth_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         import errno
 
-        import rroc.cli as cli_module
+        import rroc.data as data_module
 
-        write_csv = cli_module._write_csv
+        write_csv = data_module._write_csv
 
         class FullDisk:
             """Passes the first writes to the staged file, then fails as a full disk does."""
@@ -824,10 +837,27 @@ class TestCli:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return self.fh.write(text)
 
-        monkeypatch.setattr(cli_module, "_write_csv", lambda dataset, fh: write_csv(dataset, FullDisk(fh)))
-        code = main(["synth", "--n", "5000", "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        monkeypatch.setattr(data_module, "_write_csv", lambda dataset, fh: write_csv(dataset, FullDisk(fh)))
+        out = tmp_path / "x.csv"
+        code = main(["synth", "--n", "5000", "--seed", "1", "--out", str(out)])
         assert code == 3
         lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rroc: data error: [Errno 28]")
+        assert str(out) in lines[0]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("model", ["random", "actual-plus-noise", "constant-mean"])
+    def test_synth_overflow_is_one_data_error_line(self, tmp_path, model):
+        # sigma 1e308 draws values, sums and a mean beyond the float range.
+        argv = ["synth", "--n", "1000", "--seed", "1", "--dist", "normal:0,1e308", "--model", model,
+                "--out", str(tmp_path / "x.csv")]
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 3
+        lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("rroc: data error:")
         assert list(tmp_path.iterdir()) == []
 
@@ -1059,3 +1089,103 @@ class TestCliFuzz:
                 lines = stderr.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("rroc: ")
                 assert not json_path.exists() and not svg_path.exists()
+
+
+# argv for both subcommands, each value given as --flag=value so that one
+# starting with "-" stays a value. Each value is drawn valid or hostile, about
+# half and half, so every exit code is reached. Paths are written under "{w}",
+# the work directory, which holds a valid in.csv and an empty directory adir;
+# hostile paths are missing, directories, or one file under two names. No --n
+# is drawn between 300 and np.intp's maximum: such sizes allocate real memory.
+ARGV_CSV = b"actual,predicted:a,predicted:b\n0.5,0.25,1.0\n-1.0,-0.5,2.0\n2.0,2.5,-1.0\n"
+ARGV_PATHS = ["{w}/in.csv", "{w}/./in.csv", "{w}/out.json", "{w}/./out.json", "{w}/out.svg",
+              "{w}/adir", "{w}/missing/x.out", "{w}/absent.csv"]
+alpha_cell = st.one_of(st.floats().map(repr),
+                       st.sampled_from(["", "0", "1", "-0.0", "5e-324", "1e-320", "nan", "inf", "x", " 0.3 "]))
+dist_param = st.one_of(st.floats().map(repr), st.sampled_from(["0", "1e308", "-1e308", "5e-324", "x", ""]))
+target_path = st.one_of(st.sampled_from(["{w}/out.json", "{w}/out.svg"]), st.sampled_from(ARGV_PATHS))
+FLAG_VALUES = {
+    "--input": st.sampled_from(["{w}/in.csv", "{w}/absent.csv", "{w}/adir"]),
+    "--alpha": st.one_of(st.lists(st.floats(0, 1).map(repr), max_size=3),
+                         st.lists(alpha_cell, max_size=3)).map(",".join),
+    "--outputs": st.one_of(st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1, unique=True),
+                           st.lists(st.sampled_from([*OUTPUT_KINDS, "", " hull ", "bogus"]), max_size=4)
+                           ).map(",".join),
+    "--json": target_path,
+    "--svg": target_path,
+    "--dist": st.one_of(st.tuples(st.floats(-1e3, 1e3), st.floats(0, 1e3)).map(lambda p: f"normal:{p[0]!r},{p[1]!r}"),
+                        st.tuples(dist_param, dist_param).map(lambda p: f"normal:{p[0]},{p[1]}")
+                        | st.sampled_from(["normal", "normal:", "normal:1", "normal:0,1,2", "pareto:1", ""])),
+    "--n": st.one_of(st.integers(1, 300).map(str),
+                     st.integers(-2, 0).map(str) | st.integers(np.iinfo(np.intp).max, 10**30).map(str)
+                     | st.sampled_from(["x", "1.5", ""])),
+    "--seed": st.one_of(st.integers(0, 2**70).map(str), st.sampled_from(["-1", "x", ""])),
+    "--model": st.one_of(st.sampled_from(MODEL_KINDS), st.sampled_from(["", "bogus"])),
+    "--out": target_path,
+}
+# Each subcommand's (required, optional) value flags.
+SUBCOMMAND_FLAGS = {"analyze": (("--input",), ("--alpha", "--outputs", "--json", "--svg")),
+                    "synth": (("--n", "--seed", "--out"), ("--dist", "--model"))}
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv template for ``analyze`` or ``synth``; optional flags may be left out."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    required, optional = SUBCOMMAND_FLAGS[command]
+    argv = [command] + [f"{flag}={draw(FLAG_VALUES[flag])}" for flag in required]
+    for flag in optional:
+        value = draw(st.none() | FLAG_VALUES[flag])
+        argv += [] if value is None else [f"{flag}={value}"]
+    if command == "analyze":
+        argv += [flag for flag in ("--normalize", "--reproducible") if draw(st.booleans())]
+    return argv
+
+
+def _tree(work: Path):
+    return {str(p): p.read_bytes() if p.is_file() else None for p in work.rglob("*")}
+
+
+class TestCliArgvFuzz:
+    @given(cli_argv())
+    @example(["synth", "--n=10", "--seed=1", "--dist=normal:0,1e308", "--out={w}/out.json"])
+    @example(["analyze", "--input={w}/in.csv", "--json={w}/in.csv"])
+    @example(["synth", "--n=300", "--seed=2", "--model=random", "--out={w}/./in.csv"])
+    @example(["synth", "--n=5", "--seed=0", "--out={w}/adir"])
+    @settings(max_examples=500, deadline=None)
+    def test_contract_holds_on_any_argv(self, template):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            (work / "in.csv").write_bytes(ARGV_CSV)
+            (work / "adir").mkdir()
+            argv = [arg.replace("{w}", tmp) for arg in template]
+            targets = {os.path.normpath(arg.split("=", 1)[1]) for arg in argv
+                       if arg.startswith(("--json=", "--svg=", "--out="))}
+            before = _tree(work)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                try:
+                    code, by_argparse = main(argv), False
+                except SystemExit as exc:
+                    code, by_argparse = exc.code, True
+            after = _tree(work)
+            lines = stderr.getvalue().splitlines()
+            assert [str(w.message) for w in caught] == []
+            assert not list(work.rglob("*.tmp"))
+            if by_argparse:
+                # argparse's own rejection: its usage lines, then one error line.
+                assert code == 2 and re.match(r"rroc \w+: error: ", lines[-1])
+                assert after == before
+            elif code == 0:
+                assert lines == []
+                changed = {p for p in before.keys() | after.keys() if before.get(p) != after.get(p)}
+                assert changed <= targets
+                assert all(after.get(t) is not None for t in targets)
+                if not targets:
+                    json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+            else:
+                assert code in (2, 3, 4)
+                assert len(lines) == 1 and lines[0].startswith("rroc: ")
+                assert after == before
