@@ -38,7 +38,6 @@ from .curve import (
     aoc,
     aoc_brute_force,
     default_shift_grid,
-    distinct_mask,
     is_convex,
     normalized_curve,
     over_under_at,
@@ -68,7 +67,7 @@ __all__ = [
     "OperatingCondition", "RrocPoint", "SummaryMetrics",
     "error_vector", "over_under", "metrics", "asymmetric_loss", "total_loss",
     "RrocCurve", "rroc_curve", "over_under_at", "segment_slopes", "segment_alpha", "aoc",
-    "aoc_brute_force", "default_shift_grid", "distinct_mask", "normalized_curve", "is_convex",
+    "aoc_brute_force", "default_shift_grid", "normalized_curve", "is_convex",
     "Isometric", "HybridSegment", "HullPoint", "ConvexHull",
     "DominanceRegion", "DominanceMap",
     "isometric_through", "best_point_for_alpha", "hybrid_segment", "convex_hull", "dominance_map",

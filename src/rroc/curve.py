@@ -27,7 +27,6 @@ from .errors import DataError, _shown
 
 __all__ = [
     "RrocCurve",
-    "distinct_mask",
     "rroc_curve",
     "over_under_at",
     "segment_slopes",
@@ -47,10 +46,12 @@ class RrocCurve:
     """Ordered vertices of a shift-swept model.
 
     The interior vertices are the columns ``over``, ``under`` and ``shift`` in
-    sweep order, taken with ``np.asarray`` (arrays are not copied) and made
-    read-only; the extremes (0, -inf) and (inf, 0) are implied. ``n`` and the
-    read-only int columns ``n_over`` and ``n_under`` follow from the shifts.
-    The constructor is the one place a curve is checked.
+    sweep order, taken as float64 with ``np.asarray`` (float64 arrays are not
+    copied) and made read-only; the extremes (0, -inf) and (inf, 0) are
+    implied. ``n`` and the read-only int columns ``n_over`` and ``n_under``
+    follow from the shifts. The constructor is the one place a curve is
+    checked: as along any sweep, every column is finite and never decreases,
+    over starts at 0 or above and under ends at 0 or below.
     """
 
     __slots__ = ("over", "under", "shift", "n_over", "n_under", "n", "model_id", "normalized", "_distinct")
@@ -59,11 +60,15 @@ class RrocCurve:
         columns = [np.asarray(c) for c in (over, under, shift)]
         if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
             raise DataError("curve columns must be 1-D and of one length")
-        over, under, shift = columns
-        if not (over.size and all(np.isfinite(c).all() for c in columns) and (over >= 0.0).all()
-                and (under <= 0.0).all() and (np.diff(shift) >= 0.0).all()):
-            raise DataError(f"curve of {model_id!r} needs a vertex, finite columns, over >= 0, "
-                            f"under <= 0 and nondecreasing shifts")
+        real = columns[0].size and all(c.dtype.kind in "biuf" for c in columns)
+        if real:
+            over, under, shift = columns = [c.astype(float, copy=False) for c in columns]
+        # A nondecreasing column with finite ends is finite: NaN fails every
+        # comparison, and an infinity inside would have to sit at an end.
+        if not (real and all(np.isfinite(c[[0, -1]]).all() and (c[1:] >= c[:-1]).all() for c in columns)
+                and over[0] >= 0.0 and under[-1] <= 0.0):
+            raise DataError(f"curve of {model_id!r} needs a vertex and real, finite, nondecreasing "
+                            f"columns with over >= 0 and under <= 0")
         n = over.size
         # An example with a smaller shift has a larger error: over at the vertex.
         counts = (np.searchsorted(shift, shift, "left"), n - np.searchsorted(shift, shift, "right"))
@@ -88,85 +93,60 @@ class RrocCurve:
 
         Ties in the error vector make consecutive vertices coincide; this is
         the deduplicated view that the hull, the report's count and the plot
-        all read (see ``distinct_mask``). The rule runs once per curve, on the
-        raw coordinates, and its read-only mask is kept; a scaled copy of the
-        columns selects these same indices.
+        all read (see ``_distinct_rule``). The rule runs once per curve, on
+        the raw coordinates, and its read-only mask is kept; a scaled copy of
+        the columns selects these same indices.
         """
         return np.flatnonzero(self._distinct_mask())
 
     def _distinct_mask(self) -> np.ndarray:
-        """The read-only mask behind ``distinct_vertices``, derived on first call.
-
-        A scaled copy holds its source curve here until then, and takes the
-        source's mask.
-        """
+        """The read-only mask behind ``distinct_vertices``, derived on first call."""
         mask = self._distinct
-        if isinstance(mask, RrocCurve):
-            mask = self._distinct = mask._distinct_mask()
-        elif mask is None:
+        if mask is None:
             # Threads that race here compute equal masks; either one is kept.
-            mask = distinct_mask(self.over, self.under)
+            mask = _distinct_rule(self.over, self.under)
             mask.flags.writeable = False
             self._distinct = mask
         return mask
 
 
-def distinct_mask(over, under) -> np.ndarray:
+def _distinct_rule(over: np.ndarray, under: np.ndarray) -> np.ndarray:
     """Mask of the vertices kept when coincident runs of a curve collapse.
 
     Two vertices coincide when both coordinates differ by at most 1e-12 of
-    the curve's coordinate scale (the largest ``max(over, -under)`` over the
-    finite vertices), so ties survive the float noise of computing errors by
-    subtraction. The first vertex of each run is kept, and each vertex is
-    compared with the last kept vertex, not with its neighbour. Where both
-    coordinates never decrease, the vertices within tol of the last kept one
-    are a run, skipped whole.
+    the curve's coordinate scale, ``max(over[-1], -under[0])``, so ties
+    survive the float noise of computing errors by subtraction. The first
+    vertex of each run is kept, and each vertex is compared with the last
+    kept vertex, not with its neighbour. Both columns never decrease, so the
+    vertices within tol of the last kept one are a run, skipped whole.
     """
-    over = np.asarray(over, dtype=float)
-    under = np.asarray(under, dtype=float)
     keep = np.ones(over.size, dtype=bool)
     if over.size < 2:
         return keep
-    finite = np.isfinite(over) & np.isfinite(under)
-    scale = float(np.maximum(over[finite], -under[finite]).max()) if finite.any() else 0.0
-    tol = 1e-12 * scale
+    tol = 1e-12 * max(over.item(-1), -under.item(0))
     d_over, d_under = np.diff(over), np.diff(under)
     # A vertex equal to its neighbour is never kept: the neighbour is the last
-    # kept vertex or within tol of it. Along a curve whose coordinates never
-    # decrease, a vertex more than tol from its neighbour is more than tol from
-    # every earlier vertex, so it is kept. Only the rest needs the last kept
-    # vertex.
+    # kept vertex or within tol of it. A vertex more than tol from its
+    # neighbour is more than tol from every earlier vertex, so it is kept. Only
+    # the rest needs the last kept vertex.
     equal = (d_over == 0.0) & (d_under == 0.0)
     keep[1:] = ~equal
-    monotone = bool(np.all(d_over >= 0.0) and np.all(d_under >= 0.0))
-    if monotone:
-        unsettled = ~equal & (d_over <= tol) & (d_under <= tol)
-    else:
-        unsettled = ~equal
-    pending = np.flatnonzero(unsettled) + 1
+    pending = np.flatnonzero(~equal & (d_over <= tol) & (d_under <= tol)) + 1
     if not pending.size:
         return keep
     keep[pending] = False
     last_settled = np.maximum.accumulate(np.where(keep, np.arange(over.size), 0))
+    # The vertices within tol of the last kept one k form a run after it: the
+    # next kept vertex is the first one past tol in either coordinate.
     last = -1
-    if monotone:
-        # The vertices within tol of the last kept one k form a run after it:
-        # the next kept vertex is the first one past tol in either coordinate.
-        p = 0
-        while p < pending.size:
-            k = max(last, int(last_settled[pending[p] - 1]))
-            last = min(_first_past(over, k, tol), _first_past(under, k, tol))
-            if last == over.size:
-                break
-            keep[last] = True
-            p = int(np.searchsorted(pending, last, "right"))
-        return keep
-    ov, un = over.tolist(), under.tolist()
-    for i in pending.tolist():
-        k = max(last, int(last_settled[i - 1]))
-        if not (abs(ov[i] - ov[k]) <= tol and abs(un[i] - un[k]) <= tol):
-            keep[i] = True
-            last = i
+    p = 0
+    while p < pending.size:
+        k = max(last, int(last_settled[pending[p] - 1]))
+        last = min(_first_past(over, k, tol), _first_past(under, k, tol))
+        if last == over.size:
+            break
+        keep[last] = True
+        p = int(np.searchsorted(pending, last, "right"))
     return keep
 
 
@@ -210,9 +190,10 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
         unders = np.zeros(1)
     else:
         d = es[:-1] - es[1:]
+        d += 0.0  # a tie of -0.0 and 0.0 gives d = -0.0; every zero coordinate is +0.0
         overs = np.concatenate(([0.0], np.cumsum(np.arange(1, n) * d)))
         w = np.arange(n - 1, 0, -1) * d
-        unders = -np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
+        unders = 0.0 - np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
 
     return RrocCurve(overs, unders, -es, model_id=model_id)
 
@@ -356,11 +337,11 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
 
     Makes curves of different dataset sizes comparable; the normalized AOC is
     ``variance / 2``. Shifts, and so the counts, stay untouched, and so do the
-    distinct vertices: the copy reads the source's mask when first asked.
+    distinct vertices: the copy takes the source's mask.
     """
     n = curve.n
     out = RrocCurve(curve.over / n, curve.under / n, curve.shift, model_id=curve.model_id, normalized=True)
-    out._distinct = curve
+    out._distinct = curve._distinct_mask()
     return out
 
 

@@ -22,7 +22,7 @@ from rroc import (
 )
 from rroc.analysis import COLLINEAR_EPS
 from rroc.core import _total_losses
-from rroc.curve import _optimal_vertices, distinct_mask
+from rroc.curve import _optimal_vertices
 
 from .test_curve import lattice_errors, tied_errors
 
@@ -475,6 +475,24 @@ def hull_inputs(draw):
     return inputs
 
 
+@st.composite
+def hand_built_columns(draw):
+    """Nondecreasing over and under columns that no error vector sweeps to.
+
+    Each step of each column is independently zero, a near tie of 1e-13 to
+    2e-12 of the scale, or a regular step, so runs of vertices closer than
+    the 1e-12 tolerance form in one coordinate, in the other, or in both.
+    """
+    n = draw(st.integers(1, 48))
+    scale = draw(st.floats(1e-3, 1e3))
+    step = st.one_of(st.just(0.0), st.floats(1e-13, 2e-12), st.floats(1e-3, 1.0))
+    steps = [np.asarray(draw(st.lists(step, min_size=n - 1, max_size=n - 1))) * scale for _ in range(2)]
+    rising = [np.concatenate(([0.0], np.cumsum(s))) for s in steps]
+    over = rising[0] + draw(st.sampled_from([0.0, 1.0])) * scale
+    under = rising[1] - rising[1][-1] - draw(st.sampled_from([0.0, 1.0])) * scale
+    return over, under
+
+
 class TestHullAgainstReference:
     @given(hull_inputs())
     @settings(max_examples=300, deadline=None)
@@ -497,8 +515,14 @@ class TestHullAgainstReference:
         nudges = data.draw(st.lists(st.integers(0, 3), min_size=values.size, max_size=values.size))
         curve = rroc_curve(values + np.asarray(nudges) * eps)
         want = [k for k, _, _ in reference_distinct(curve)]
-        assert np.flatnonzero(distinct_mask(curve.over, curve.under)).tolist() == want
         assert curve.distinct_vertices().tolist() == want
+
+    @given(hand_built_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_hand_built_distinct_vertices_match_reference(self, columns):
+        over, under = columns
+        curve = RrocCurve(over, under, np.zeros(over.size))
+        assert curve.distinct_vertices().tolist() == [k for k, _, _ in reference_distinct(curve)]
 
 
 def reference_model_at(regions, alpha):

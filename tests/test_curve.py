@@ -12,7 +12,6 @@ from rroc import (
     aoc_brute_force,
     convex_hull,
     default_shift_grid,
-    distinct_mask,
     is_convex,
     normalized_curve,
     over_under,
@@ -134,6 +133,18 @@ class TestCurveConstruction:
         assert curve.over == pytest.approx(overs, abs=1e-9)
         assert curve.under == pytest.approx(unders, abs=1e-9)
 
+    @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.just(-0.0)),
+                    min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_zero_coordinates_are_positive_zero(self, values):
+        # Ties, -0.0 among them, make zero steps; a zero coordinate is +0.0,
+        # and a shifted model at a vertex shift is that vertex, sign included.
+        curve = rroc_curve(values)
+        for c in (curve, normalized_curve(curve)):
+            for column, at_vertex in zip((c.over, c.under), over_under_at(c, c.shift)):
+                assert not np.signbit(column[column == 0.0]).any()
+                assert at_vertex.tobytes() == column.tobytes()
+
     @given(lattice_errors)
     @settings(max_examples=200, deadline=None)
     def test_monotone_distinct_vertices(self, values):
@@ -149,24 +160,19 @@ class TestDistinctMask:
         # its neighbour but not of the last kept vertex.
         over = [0.0, 6e-13, 1.2e-12, 1.0]
         under = [-1.0, -1.0, -1.0, 0.0]
-        assert distinct_mask(over, under).tolist() == [True, False, True, True]
-
-    def test_unordered_vertices(self):
-        over = [0.0, 6e-13, 1.2e-12, 6e-13, 1.0]
-        under = [-1.0, -1.0, -1.0, -1.0, 0.0]
-        assert distinct_mask(over, under).tolist() == [True, False, True, False, True]
+        assert RrocCurve(over, under, np.zeros(4)).distinct_vertices().tolist() == [0, 2, 3]
 
     def test_distinct_vertices_run_the_rule_once_per_curve(self, monkeypatch):
         import rroc.curve
 
         calls = []
-        original = rroc.curve.distinct_mask
+        original = rroc.curve._distinct_rule
 
         def counting(over, under):
             calls.append(over.size)
             return original(over, under)
 
-        monkeypatch.setattr(rroc.curve, "distinct_mask", counting)
+        monkeypatch.setattr(rroc.curve, "_distinct_rule", counting)
         curve = rroc_curve([1.0, 1.0, -2.0, 0.5])  # the tied errors make vertices 0 and 1 coincide
         assert curve.distinct_vertices().tolist() == [0, 2, 3]
         assert is_convex(curve)
@@ -319,7 +325,7 @@ class TestNormalizedCurve:
                             0.250000000001])
         norm = normalized_curve(curve)
         assert norm.distinct_vertices().tolist() == curve.distinct_vertices().tolist() == [0, 1, 2, 3, 4, 6]
-        assert distinct_mask(norm.over, norm.under).sum() == 5
+        assert RrocCurve(norm.over, norm.under, norm.shift).distinct_vertices().size == 5
         assert (convex_hull({"m": norm}).vertex_index.tolist()
                 == convex_hull({"m": curve}).vertex_index.tolist() == [0, 1, 2, 3, 4, 5])
 
@@ -327,11 +333,11 @@ class TestNormalizedCurve:
         import rroc.curve
 
         calls = []
-        original = rroc.curve.distinct_mask
-        monkeypatch.setattr(rroc.curve, "distinct_mask", lambda o, u: calls.append(o) or original(o, u))
+        original = rroc.curve._distinct_rule
+        monkeypatch.setattr(rroc.curve, "_distinct_rule", lambda o, u: calls.append(o) or original(o, u))
         curve = rroc_curve([1.0, 1.0, -2.0, 0.5])
-        norm = normalized_curve(curve)
         assert calls == []
+        norm = normalized_curve(curve)
         assert norm.distinct_vertices().tolist() == curve.distinct_vertices().tolist() == [0, 2, 3]
         assert len(calls) == 1 and calls[0] is curve.over
 
@@ -374,6 +380,13 @@ class TestCurveValidation:
         assert isinstance(curve.over, np.ndarray) and not curve.over.flags.writeable
         assert aoc(curve) == 0.5
 
+    def test_columns_are_float64_and_float64_is_not_copied(self):
+        over = np.array([0.0, 1.0])
+        curve = RrocCurve(over, np.array([-1, 0], dtype=np.int8), np.array([False, True]))
+        assert curve.over is over
+        assert [c.dtype for c in (curve.over, curve.under, curve.shift)] == [np.float64] * 3
+        assert (curve.under.tolist(), curve.shift.tolist()) == ([-1.0, 0.0], [0.0, 1.0])
+
     def test_counts_are_derived_from_the_shifts(self):
         curve = RrocCurve([0.0, 1.0, 1.0, 3.0], [-3.0, -1.0, -1.0, 0.0], [-2.0, -1.0, -1.0, 0.0])
         assert curve.n == 4
@@ -392,8 +405,15 @@ class TestCurveValidation:
             ([0.0, 1.0], [-1.0, 0.0], [math.nan, 1.0]),
             ([0.0, 1.0], [-1.0, 0.0], [0.0, math.inf]),
             ([0.0, 1.0], [-1.0, 0.0], [1.0, 0.0]),
+            ([0.0, 6e-13, 1.2e-12, 6e-13, 1.0], [-1.0, -1.0, -1.0, -1.0, 0.0], [0.0] * 5),
+            ([0.0, 1.0, 2.0], [-1.0, -2.0, 0.0], [0.0, 1.0, 2.0]),
+            ([0.0, 1.0, math.inf, 2.0], [-1.0] * 3 + [0.0], [0.0] * 4),
+            ([1j], [0.0], [0.0]),
+            (["a"], ["b"], ["c"]),
+            ([None], [0.0], [0.0]),
         ],
-        ids=["nan-under", "inf-under", "nan-shift", "inf-shift", "decreasing-shift"],
+        ids=["nan-under", "inf-under", "nan-shift", "inf-shift", "decreasing-shift", "decreasing-over",
+             "decreasing-under", "inner-inf-over", "complex", "str", "none"],
     )
     def test_constructor_rejects_and_names_the_model(self, over, under, shift):
         with pytest.raises(DataError, match="'bad'"):

@@ -23,11 +23,13 @@ from hypothesis import strategies as st
 
 from rroc import DataError, RunConfig, error_density, render_svg, run
 from rroc.cli import main
-from rroc.curve import distinct_mask, normalized_curve
+from rroc.curve import normalized_curve
 from rroc.data import Dataset
 from rroc.errors import ConfigError
 from rroc.report import OUTPUT_KINDS
 from rroc.synth import MODEL_KINDS, generate_synthetic
+
+from .test_analysis import reference_distinct
 
 
 def analyze(predictions_csv, **kwargs):
@@ -130,13 +132,13 @@ class TestRunPipeline:
         import rroc.curve
 
         calls = []
-        original = rroc.curve.distinct_mask
+        original = rroc.curve._distinct_rule
 
         def counting(over, under):
             calls.append(over.size)
             return original(over, under)
 
-        monkeypatch.setattr(rroc.curve, "distinct_mask", counting)
+        monkeypatch.setattr(rroc.curve, "_distinct_rule", counting)
         report = analyze(predictions_csv, outputs=OUTPUT_KINDS, alphas=(0.8,))
         report.to_json()
         render_svg(report)
@@ -259,7 +261,7 @@ def reference_json(report):
             entry["curve"] = {
                 "normalized": c.normalized,
                 # Counted on the raw curve, whose distinct vertices the hull indexes.
-                "distinct_vertex_count": int(np.count_nonzero(distinct_mask(raw.over, raw.under))),
+                "distinct_vertex_count": len(reference_distinct(raw)),
                 "vertices": [
                     {"over": o, "under": u, "shift": s, "n_over": a, "n_under": b}
                     for o, u, s, a, b in zip(*(column.tolist() for column in columns))
