@@ -29,7 +29,6 @@ __all__ = [
     "OperatingCondition",
     "RrocPoint",
     "SummaryMetrics",
-    "as_errors",
     "error_vector",
     "over_under",
     "metrics",

@@ -8,10 +8,8 @@ by the shift that moves that example exactly onto the boundary between
 over- and under-estimation.
 
 Boundary convention: at a vertex shift one shifted error is exactly zero. The
-vertex coordinates follow the sweep construction (the zero term is summed into
-UNDER, where it adds nothing), while the ``n_over``/``n_under`` counts use
-strict inequalities, so the boundary example is counted in neither. This is
-the single place the two conventions meet and they agree numerically.
+vertex coordinates follow the sweep construction: the zero term is summed into
+UNDER, where it adds nothing.
 """
 
 from __future__ import annotations
@@ -48,13 +46,12 @@ class RrocCurve:
     The interior vertices are the columns ``over``, ``under`` and ``shift`` in
     sweep order, taken as float64 with ``np.asarray`` (float64 arrays are not
     copied) and made read-only; the extremes (0, -inf) and (inf, 0) are
-    implied. ``n`` and the read-only int columns ``n_over`` and ``n_under``
-    follow from the shifts. The constructor is the one place a curve is
-    checked: as along any sweep, every column is finite and never decreases,
-    over starts at 0 or above and under ends at 0 or below.
+    implied; ``n`` is the vertex count. The constructor is the one place a
+    curve is checked: as along any sweep, every column is finite and never
+    decreases, over starts at 0 or above and under ends at 0 or below.
     """
 
-    __slots__ = ("over", "under", "shift", "n_over", "n_under", "n", "model_id", "normalized", "_distinct")
+    __slots__ = ("over", "under", "shift", "n", "model_id", "normalized", "_distinct")
 
     def __init__(self, over, under, shift, *, model_id: Optional[str] = None, normalized: bool = False):
         columns = [np.asarray(c) for c in (over, under, shift)]
@@ -69,13 +66,10 @@ class RrocCurve:
                 and over[0] >= 0.0 and under[-1] <= 0.0):
             raise DataError(f"curve of {model_id!r} needs a vertex and real, finite, nondecreasing "
                             f"columns with over >= 0 and under <= 0")
-        n = over.size
-        # An example with a smaller shift has a larger error: over at the vertex.
-        counts = (np.searchsorted(shift, shift, "left"), n - np.searchsorted(shift, shift, "right"))
-        for name, column in zip(("over", "under", "shift", "n_over", "n_under"), (*columns, *counts)):
+        for name, column in zip(("over", "under", "shift"), columns):
             column.flags.writeable = False
             setattr(self, name, column)
-        self.n = n
+        self.n = over.size
         self.model_id = model_id
         self.normalized = normalized
         self._distinct = None
@@ -195,20 +189,20 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
         w = np.arange(n - 1, 0, -1) * d
         unders = 0.0 - np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
 
-    return RrocCurve(overs, unders, -es, model_id=model_id)
+    return RrocCurve(overs, unders, 0.0 - es, model_id=model_id)  # an error of 0.0 has the shift +0.0
 
 
 def over_under_at(curve: RrocCurve, shifts) -> Tuple[np.ndarray, np.ndarray]:
     """OVER and UNDER of the shifted models ``m<s>``, read off the curve.
 
     Between consecutive vertex shifts the same examples stay over- and
-    under-estimated, so both sums are linear in the shift there. With ``k``
-    the last vertex whose shift is at most ``s``:
+    under-estimated, so both sums are linear in the shift there. With ``j``
+    the number of vertex shifts at most ``s`` and ``k = max(j - 1, 0)``:
 
-        OVER  = over_k  + (n - n_under_k) * (s - s_k)
-        UNDER = under_k + n_under_k * (s - s_k)
+        OVER  = over_k  + j * (s - s_k)
+        UNDER = under_k + (n - j) * (s - s_k)
 
-    and below the first vertex OVER is 0 and UNDER = under_0 + n * (s - s_0).
+    so below the first vertex (j = 0) OVER is 0 and UNDER = under_0 + n * (s - s_0).
     At a vertex shift the result is that vertex's coordinates exactly; a
     normalized curve gives the sums divided by n. The curve must be the sweep
     of an error vector, as ``rroc_curve`` builds it. Returns two float arrays
@@ -217,8 +211,7 @@ def over_under_at(curve: RrocCurve, shifts) -> Tuple[np.ndarray, np.ndarray]:
     s = np.asarray(shifts, dtype=float)
     if not np.isfinite(s).all():
         raise DataError("shifts must be finite")
-    # m<s> over-estimates (or hits) the j examples whose vertex shift is at
-    # most s, so j = n - n_under_k, and j = 0 below the first vertex.
+    # m<s> over-estimates (or hits) the j examples whose vertex shift is at most s.
     j = np.searchsorted(curve.shift, s, "right")
     k = np.maximum(j - 1, 0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,8 +329,8 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
     """Divide both coordinates of every vertex by n.
 
     Makes curves of different dataset sizes comparable; the normalized AOC is
-    ``variance / 2``. Shifts, and so the counts, stay untouched, and so do the
-    distinct vertices: the copy takes the source's mask.
+    ``variance / 2``. Shifts stay untouched, and so do the distinct vertices:
+    the copy takes the source's mask.
     """
     n = curve.n
     out = RrocCurve(curve.over / n, curve.under / n, curve.shift, model_id=curve.model_id, normalized=True)

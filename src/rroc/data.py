@@ -24,7 +24,7 @@ import numpy as np
 from .core import error_vector
 from .errors import ConfigError, DataError
 
-__all__ = ["Dataset", "DEFAULT_MODEL_ID", "load_predictions", "write_predictions"]
+__all__ = ["Dataset", "load_predictions", "write_predictions"]
 
 ACTUAL_COLUMN = "actual"
 PREDICTED_COLUMN = "predicted"

@@ -1,5 +1,7 @@
 """Exceptions shared across the package."""
 
+__all__ = ["RrocError", "DataError", "ConfigError"]
+
 
 class RrocError(Exception):
     """Base class for all errors raised by this package."""

@@ -26,7 +26,7 @@ from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError, _shown
 from .shift import default_alpha_grid
 
-__all__ = ["OUTPUT_KINDS", "RunConfig", "EvaluationReport", "run", "error_density"]
+__all__ = ["RunConfig", "EvaluationReport", "run", "error_density"]
 
 SCHEMA_VERSION = "1"
 OUTPUT_KINDS = ("points", "curves", "hull", "dominance", "cost", "density")
@@ -110,8 +110,9 @@ class EvaluationReport:
         curves = [entry["curve"] for entry in self.models.values() if "curve" in entry]
         hull = self.hull if self.hull is not None else getattr(self.dominance, "hull", None)
         hull_texts = None if hull is None else _HullTexts(hull, scale)
-        ints = _int_texts([c for curve in curves for c in (curve.n_over, curve.n_under)]
-                          + ([] if self.hull is None else [self.hull.vertex_index]))
+        # A vertex's counts are below its curve's n; a hull row names its vertex by index.
+        tops = [c.n - 1 for c in curves] + ([] if self.hull is None else [self.hull.vertex_index.max(initial=0)])
+        ints = _int_texts(int(max(tops, default=0)))
         for key, value in vars(self).items():
             if value is None:
                 continue
@@ -159,9 +160,8 @@ def _texts(column) -> List[str]:
     return list(map(repr, column.tolist()))
 
 
-def _int_texts(columns) -> np.ndarray:
-    """The texts of 0 up to the largest value in the int columns, to gather from."""
-    top = max([0, *(int(c.max()) for c in columns if c.size)])
+def _int_texts(top: int) -> np.ndarray:
+    """The texts of 0 up to ``top``, to gather from."""
     return np.array(list(map(str, range(top + 1))), dtype=object)
 
 
@@ -175,15 +175,18 @@ def _curve_json(model_id: str, curve: RrocCurve, scale: float, normalized: bool,
 
     The distinct vertices are counted on the raw curve, as the hull indexes
     them. The coordinate texts are handed to the hull rows that name them.
+    Each vertex counts the examples with a smaller and a larger shift.
     """
     distinct = curve.distinct_vertices().size
     over, under = _texts(curve.over / scale), _texts(curve.under / scale)
     if hull_texts is not None:
         hull_texts.take(model_id, curve, over, under)
+    shift = curve.shift
+    n_over = ints[np.searchsorted(shift, shift, "left")].tolist()
+    n_under = ints[curve.n - np.searchsorted(shift, shift, "right")].tolist()
     rows = ",".join([
         f'{{"over":{o},"under":{u},"shift":{s},"n_over":{a},"n_under":{b}}}'
-        for o, u, s, a, b in zip(over, under, _texts(curve.shift), ints[curve.n_over].tolist(),
-                                 ints[curve.n_under].tolist())
+        for o, u, s, a, b in zip(over, under, _texts(shift), n_over, n_under)
     ])
     return f'{{"normalized":{_dumps(normalized)},"distinct_vertex_count":{distinct},"vertices":[{rows}]}}'
 

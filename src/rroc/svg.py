@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError
 from .report import EvaluationReport
 
-__all__ = ["render_svg", "m4_indices", "PALETTE", "MARKER_LIMIT"]
+__all__ = ["render_svg"]
 
 PALETTE = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 

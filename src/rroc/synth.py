@@ -9,7 +9,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, _shown
 
-__all__ = ["MODEL_KINDS", "generate_synthetic", "parse_distribution"]
+__all__ = ["generate_synthetic"]
 
 # random:            predictions drawn fresh from the data distribution
 # actual-plus-noise: predictions are the actual values plus distribution noise

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rroc import (
@@ -15,6 +15,7 @@ from rroc import (
     is_convex,
     normalized_curve,
     over_under,
+    optimal_constant_shift,
     over_under_at,
     rroc_curve,
     segment_alpha,
@@ -107,15 +108,6 @@ class TestCurveConstruction:
         assert shifts == sorted(shifts)
         assert shifts == [-s for s in sorted(errors["m1"], reverse=True)]
 
-    def test_boundary_counts_use_strict_inequalities(self, errors):
-        for e in errors.values():
-            curve = rroc_curve(e)
-            assert np.all(curve.n_over + curve.n_under <= curve.n)
-        # exactly tied values sit on the boundary together
-        curve = rroc_curve([1.0, 3.0, 3.0, 3.0, 5.0])
-        tied = curve.shift == -3.0
-        assert (curve.n_over[tied].tolist(), curve.n_under[tied].tolist()) == ([1, 1, 1], [1, 1, 1])
-
     def test_vertex_coordinates_at_shift(self, errors):
         # applying a vertex's shift reproduces its coordinates
         e = errors["m1"]
@@ -135,15 +127,22 @@ class TestCurveConstruction:
 
     @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.just(-0.0)),
                     min_size=1, max_size=64))
+    @example([0.0, 1.0])  # an error of 0.0 has the vertex shift 0.0
+    @example([0.0, 0.0, 0.0])
     @settings(max_examples=200, deadline=None)
     def test_zero_coordinates_are_positive_zero(self, values):
-        # Ties, -0.0 among them, make zero steps; a zero coordinate is +0.0,
-        # and a shifted model at a vertex shift is that vertex, sign included.
+        # Ties, -0.0 among them, make zero steps; a zero coordinate or shift
+        # is +0.0, and a shifted model at a vertex shift is that vertex, sign
+        # included. The optimal shift and its loss are curve values too.
         curve = rroc_curve(values)
         for c in (curve, normalized_curve(curve)):
+            assert not np.signbit(c.shift[c.shift == 0.0]).any()
             for column, at_vertex in zip((c.over, c.under), over_under_at(c, c.shift)):
                 assert not np.signbit(column[column == 0.0]).any()
                 assert at_vertex.tobytes() == column.tobytes()
+        for alpha in (0.0, 0.5, 1.0):
+            best = np.array(optimal_constant_shift(values, alpha))
+            assert not np.signbit(best[best == 0.0]).any()
 
     @given(lattice_errors)
     @settings(max_examples=200, deadline=None)
@@ -387,14 +386,6 @@ class TestCurveValidation:
         assert [c.dtype for c in (curve.over, curve.under, curve.shift)] == [np.float64] * 3
         assert (curve.under.tolist(), curve.shift.tolist()) == ([-1.0, 0.0], [0.0, 1.0])
 
-    def test_counts_are_derived_from_the_shifts(self):
-        curve = RrocCurve([0.0, 1.0, 1.0, 3.0], [-3.0, -1.0, -1.0, 0.0], [-2.0, -1.0, -1.0, 0.0])
-        assert curve.n == 4
-        assert (curve.n_over.tolist(), curve.n_under.tolist()) == ([0, 1, 1, 3], [3, 1, 1, 0])
-        assert not (curve.n_over.flags.writeable or curve.n_under.flags.writeable)
-        with pytest.raises(TypeError):
-            RrocCurve([0.0], [0.0], [0.0], [0], [0], 1)
-
     # No vertex, a non-finite over, over < 0 and under > 0 are the cases of
     # test_analysis.py::TestConvexHull::test_invalid_curve_vertices_rejected_by_model.
     @pytest.mark.parametrize(
@@ -418,17 +409,6 @@ class TestCurveValidation:
     def test_constructor_rejects_and_names_the_model(self, over, under, shift):
         with pytest.raises(DataError, match="'bad'"):
             RrocCurve(over, under, shift, model_id="bad")
-
-    @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.just(-0.0)),
-                    min_size=1, max_size=64))
-    @settings(max_examples=200, deadline=None)
-    def test_counts_match_direct_counts(self, values):
-        e = np.asarray(values, dtype=float)
-        curve = rroc_curve(e)
-        larger = [int(np.count_nonzero(e > -s)) for s in curve.shift.tolist()]
-        smaller = [int(np.count_nonzero(e < -s)) for s in curve.shift.tolist()]
-        for c in (curve, normalized_curve(curve)):
-            assert (c.n_over.tolist(), c.n_under.tolist()) == (larger, smaller)
 
 
 class TestOverUnderAt:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from rroc import DataError, RunConfig, error_density, render_svg, run
+from rroc import DataError, EvaluationReport, RrocCurve, RunConfig, error_density, render_svg, rroc_curve, run
 from rroc.cli import main
 from rroc.curve import normalized_curve
 from rroc.data import Dataset
@@ -257,14 +257,17 @@ def reference_json(report):
         if "curve" in entry:
             raw = entry["curve"]
             c = normalized_curve(raw) if report.config["normalize"] else raw
-            columns = (c.over, c.under, c.shift, c.n_over, c.n_under)
+            shifts = c.shift.tolist()
+            # Each vertex counts the examples with a strictly smaller and a strictly larger shift.
+            n_over = [sum(t < s for t in shifts) for s in shifts]
+            n_under = [sum(t > s for t in shifts) for s in shifts]
             entry["curve"] = {
                 "normalized": c.normalized,
                 # Counted on the raw curve, whose distinct vertices the hull indexes.
                 "distinct_vertex_count": len(reference_distinct(raw)),
                 "vertices": [
                     {"over": o, "under": u, "shift": s, "n_over": a, "n_under": b}
-                    for o, u, s, a, b in zip(*(column.tolist() for column in columns))
+                    for o, u, s, a, b in zip(c.over.tolist(), c.under.tolist(), shifts, n_over, n_under)
                 ],
             }
         models[model_id] = entry
@@ -393,6 +396,41 @@ class TestJsonWriter:
         model = json.dumps(h.model_ids[h.model_rank[-1]])
         zero = repr(float(under[-1]) / report.axis_scale)
         assert hull_text.endswith(f'"under":{zero},"model":{model},"vertex_index":{h.vertex_index[-1]}}}]}},')
+
+
+def vertex_rows(curve, normalize=False):
+    """The JSON rows that a report holding ``curve`` alone writes for its vertices."""
+    report = EvaluationReport("1", "0", {"normalize": normalize}, curve.n, {"m": {"curve": curve}})
+    return json.loads(report.to_json())["models"]["m"]["curve"]["vertices"]
+
+
+class TestJsonCounts:
+    """``n_over`` and ``n_under`` of a vertex row count the examples with a
+    strictly larger and a strictly smaller error: the boundary one is in neither."""
+
+    def test_boundary_counts_use_strict_inequalities(self, errors):
+        for e in errors.values():
+            assert all(r["n_over"] + r["n_under"] < e.size for r in vertex_rows(rroc_curve(e)))
+        # exactly tied values sit on the boundary together
+        rows = vertex_rows(rroc_curve([1.0, 3.0, 3.0, 3.0, 5.0]))
+        assert [(r["n_over"], r["n_under"]) for r in rows if r["shift"] == -3.0] == [(1, 1)] * 3
+
+    def test_counts_of_a_hand_built_curve(self):
+        curve = RrocCurve([0.0, 1.0, 1.0, 3.0], [-3.0, -1.0, -1.0, 0.0], [-2.0, -1.0, -1.0, 0.0])
+        assert curve.n == 4
+        assert [(r["n_over"], r["n_under"]) for r in vertex_rows(curve)] == [(0, 3), (1, 1), (1, 1), (3, 0)]
+
+    @given(st.lists(st.one_of(st.integers(-8, 8).map(lambda k: k / 4), st.just(-0.0)),
+                    min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_match_direct_counts(self, values):
+        e = np.asarray(values, dtype=float)
+        curve = rroc_curve(e)
+        larger = [int(np.count_nonzero(e > -s)) for s in curve.shift.tolist()]
+        smaller = [int(np.count_nonzero(e < -s)) for s in curve.shift.tolist()]
+        for normalize in (False, True):
+            rows = vertex_rows(curve, normalize)
+            assert ([r["n_over"] for r in rows], [r["n_under"] for r in rows]) == (larger, smaller)
 
 
 def dense_error_density(errors, points=256):
