@@ -131,30 +131,53 @@ class SummaryMetrics:
     mmse: float
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array of finite reals: the one conversion of caller numbers.
+
+    What numpy converts to float converts, numeric strings and ``Fraction``s
+    included. Complex values, what numpy cannot convert (words, ragged lists,
+    an int beyond the float range) and non-finite values (None is NaN) are a
+    DataError naming ``what``.
+    """
+    try:
+        x = np.asarray(values)
+        if x.dtype.kind == "c":
+            raise TypeError("complex values")
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{what} must be real numbers in the float range") from None
+    if not np.isfinite(x).all():
+        raise DataError(f"{what} must be finite")
+    return x
+
+
+def _vector(values, what: str) -> np.ndarray:
+    """``_floats`` of a 1-D sequence with at least one entry."""
+    x = _floats(values, what)
+    if x.ndim != 1 or x.size < 1:
+        raise DataError(f"{what} must be a nonempty 1-D sequence, got shape {x.shape}")
+    return x
+
+
+def _alphas(values) -> np.ndarray:
+    """``_vector`` of an alpha grid, every alpha in [0, 1]."""
+    a = _vector(values, "alpha grid")
+    if a.min() < 0.0 or a.max() > 1.0:
+        raise DataError("alpha grid values must lie in [0, 1]")
+    return a
+
+
 def as_errors(errors) -> np.ndarray:
     """Validate and return a 1-D float64 error vector (finite, length >= 1)."""
-    e = np.asarray(errors, dtype=float)
-    if e.ndim != 1:
-        raise DataError(f"error vector must be 1-D, got shape {e.shape}")
-    if e.size < 1:
-        raise DataError("error vector must have at least one entry")
-    if not np.all(np.isfinite(e)):
-        raise DataError("error vector contains non-finite entries")
-    return e
+    return _vector(errors, "error vector")
 
 
 def error_vector(predicted: Sequence[float], actual: Sequence[float]) -> np.ndarray:
     """Signed errors ``e_i = predicted_i - actual_i``, order preserved."""
-    p = np.asarray(predicted, dtype=float)
-    a = np.asarray(actual, dtype=float)
-    if p.ndim != 1 or a.ndim != 1:
-        raise DataError("predicted and actual must be 1-D sequences")
+    p = _vector(predicted, "predictions")
+    a = _vector(actual, "actual values")
     if p.size != a.size:
         raise DataError(f"length mismatch: {p.size} predictions vs {a.size} actuals")
-    if p.size < 1:
-        raise DataError("need at least one example")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(a))):
-        raise DataError("inputs contain non-finite entries")
     with np.errstate(over="ignore"):
         e = p - a
     if not np.all(np.isfinite(e)):

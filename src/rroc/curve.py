@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import _total_losses, as_errors
+from .core import _alphas, _floats, _total_losses, as_errors
 from .errors import DataError, _shown
 
 __all__ = [
@@ -44,7 +44,7 @@ class RrocCurve:
     """Ordered vertices of a shift-swept model.
 
     The interior vertices are the columns ``over``, ``under`` and ``shift`` in
-    sweep order, taken as float64 with ``np.asarray`` (float64 arrays are not
+    sweep order, converted as every caller array is (float64 arrays are not
     copied) and made read-only; the extremes (0, -inf) and (inf, 0) are
     implied; ``n`` is the vertex count. The constructor is the one place a
     curve is checked: as along any sweep, every column is finite and never
@@ -54,18 +54,12 @@ class RrocCurve:
     __slots__ = ("over", "under", "shift", "n", "model_id", "normalized", "_distinct")
 
     def __init__(self, over, under, shift, *, model_id: Optional[str] = None, normalized: bool = False):
-        columns = [np.asarray(c) for c in (over, under, shift)]
-        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+        over, under, shift = columns = [_floats(c, f"curve of {model_id!r}") for c in (over, under, shift)]
+        if any(c.ndim != 1 or c.size != over.size for c in columns):
             raise DataError("curve columns must be 1-D and of one length")
-        real = columns[0].size and all(c.dtype.kind in "biuf" for c in columns)
-        if real:
-            over, under, shift = columns = [c.astype(float, copy=False) for c in columns]
-        # A nondecreasing column with finite ends is finite: NaN fails every
-        # comparison, and an infinity inside would have to sit at an end.
-        if not (real and all(np.isfinite(c[[0, -1]]).all() and (c[1:] >= c[:-1]).all() for c in columns)
-                and over[0] >= 0.0 and under[-1] <= 0.0):
-            raise DataError(f"curve of {model_id!r} needs a vertex and real, finite, nondecreasing "
-                            f"columns with over >= 0 and under <= 0")
+        if not (over.size and all((c[1:] >= c[:-1]).all() for c in columns) and over[0] >= 0.0 and under[-1] <= 0.0):
+            raise DataError(f"curve of {model_id!r} needs a vertex and nondecreasing columns "
+                            f"with over >= 0 and under <= 0")
         for name, column in zip(("over", "under", "shift"), columns):
             column.flags.writeable = False
             setattr(self, name, column)
@@ -164,10 +158,10 @@ def _first_past(column: np.ndarray, k: int, tol: float) -> int:
 def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
     """Build the RROC curve of an error vector.
 
-    The errors are sorted decreasingly (stable, so tied values keep their
-    original order) and each error in turn is moved onto the over/under
-    boundary. Interior coordinates are accumulated from the sorted adjacent
-    differences, which keeps every coordinate a sum of nonnegative terms:
+    The errors are sorted decreasingly and each error in turn is moved onto
+    the over/under boundary. Interior coordinates are accumulated from the
+    sorted adjacent differences, which keeps every coordinate a sum of
+    nonnegative terms:
 
         over_{k+1}  = over_k + (k+1) * d_k
         under_k     = under_{k+1} - (n-k-1) * d_k,   d_k = e_(k) - e_(k+1)
@@ -177,18 +171,12 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
     """
     e = as_errors(errors)
     n = e.size
-    es = e[np.argsort(-e, kind="stable")]
-
-    if n == 1:
-        overs = np.zeros(1)
-        unders = np.zeros(1)
-    else:
-        d = es[:-1] - es[1:]
-        d += 0.0  # a tie of -0.0 and 0.0 gives d = -0.0; every zero coordinate is +0.0
-        overs = np.concatenate(([0.0], np.cumsum(np.arange(1, n) * d)))
-        w = np.arange(n - 1, 0, -1) * d
-        unders = 0.0 - np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
-
+    es = np.sort(e)[::-1]
+    d = es[:-1] - es[1:]
+    d += 0.0  # a tie of -0.0 and 0.0 gives d = -0.0; every zero coordinate is +0.0
+    overs = np.concatenate(([0.0], np.cumsum(np.arange(1, n) * d)))
+    w = np.arange(n - 1, 0, -1) * d
+    unders = 0.0 - np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
     return RrocCurve(overs, unders, 0.0 - es, model_id=model_id)  # an error of 0.0 has the shift +0.0
 
 
@@ -208,9 +196,7 @@ def over_under_at(curve: RrocCurve, shifts) -> Tuple[np.ndarray, np.ndarray]:
     of an error vector, as ``rroc_curve`` builds it. Returns two float arrays
     of the shape of ``shifts``; a non-finite shift or sum is a DataError.
     """
-    s = np.asarray(shifts, dtype=float)
-    if not np.isfinite(s).all():
-        raise DataError("shifts must be finite")
+    s = _floats(shifts, "shifts")
     # m<s> over-estimates (or hits) the j examples whose vertex shift is at most s.
     j = np.searchsorted(curve.shift, s, "right")
     k = np.maximum(j - 1, 0)
@@ -236,7 +222,7 @@ def _optimal_vertices(curve: RrocCurve, alphas) -> Tuple[np.ndarray, np.ndarray]
     |shift|, then (stable sort, window right to left) to the larger shift.
     The curve must be the sweep of an error vector, as ``rroc_curve`` builds it.
     """
-    a = np.asarray(alphas, dtype=float)[:, None]
+    a = _alphas(alphas)[:, None]
     window = np.clip(np.floor(a * curve.n).astype(np.intp) + [1, 0, -1], 0, curve.over.size - 1)
     loss = _total_losses(curve.over[window], curve.under[window], a)
     best = np.lexsort((np.abs(curve.shift[window]), loss), axis=-1)[:, :1]
@@ -311,11 +297,9 @@ def aoc_brute_force(errors, grid=None) -> float:
     e = as_errors(errors)
     if grid is None:
         grid = default_shift_grid(e)
-    g = np.asarray(grid, dtype=float)
+    g = _floats(grid, "shift grid")
     if g.ndim != 1 or g.size < 2:
         raise DataError("shift grid must be a 1-D sequence of at least 2 shifts")
-    if not np.all(np.isfinite(g)):
-        raise DataError("shift grid contains non-finite entries")
     if np.any(np.diff(g) <= 0):
         raise DataError("shift grid must be strictly increasing")
 

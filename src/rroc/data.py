@@ -21,7 +21,7 @@ from typing import Dict
 
 import numpy as np
 
-from .core import error_vector
+from .core import _floats, _vector, error_vector
 from .errors import ConfigError, DataError
 
 __all__ = ["Dataset", "load_predictions", "write_predictions"]
@@ -45,23 +45,15 @@ class Dataset:
     predicted: Dict[str, np.ndarray]
 
     def __post_init__(self):
-        a = np.asarray(self.actual, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise DataError("actual values must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(a)):
-            raise DataError("actual values contain non-finite entries")
+        a = _vector(self.actual, "actual values")
         if not self.predicted:
             raise DataError("dataset needs at least one model")
         object.__setattr__(self, "actual", a)
         cleaned = {}
         for model_id, p in self.predicted.items():
-            p = np.asarray(p, dtype=float)
+            p = _floats(p, f"predictions of model {model_id!r}")
             if p.shape != a.shape:
-                raise DataError(
-                    f"model {model_id!r} has {p.size} predictions for {a.size} actuals"
-                )
-            if not np.all(np.isfinite(p)):
-                raise DataError(f"model {model_id!r} has non-finite predictions")
+                raise DataError(f"model {model_id!r} has {p.size} predictions for {a.size} actuals")
             cleaned[model_id] = p
         object.__setattr__(self, "predicted", cleaned)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -20,7 +21,7 @@ from .analysis import (
     dominance_map,
     isometric_through,
 )
-from .core import RrocPoint, _total_losses, metrics, over_under, total_loss
+from .core import RrocPoint, _total_losses, as_errors, metrics, over_under, total_loss
 from .curve import RrocCurve, _optimal_vertices, aoc, rroc_curve
 from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError, _shown
@@ -52,7 +53,7 @@ class RunConfig:
             )
         if not self.outputs:
             raise ConfigError("at least one output kind is required")
-        bad = [a for a in self.alphas if not 0.0 <= a <= 1.0]
+        bad = [a for a in self.alphas if not (isinstance(a, numbers.Real) and 0.0 <= a <= 1.0)]
         if bad:
             # Each rejected value is listed; only one too long to print is cut.
             raise ConfigError(f"alpha values outside [0, 1]: [{', '.join(map(_shown, bad))}]")
@@ -272,7 +273,7 @@ def error_density(errors):
     or binning would be inaccurate: more than 2**16 cells, or x values that
     floats cannot place on the fine grid.
     """
-    e = np.asarray(errors, dtype=float)
+    e = as_errors(errors)
     n = e.size
     q75, q25 = np.percentile(e, [75, 25])
     candidates = [c for c in (float(np.std(e)), (q75 - q25) / 1.34) if c > 0]

@@ -22,7 +22,7 @@ import numpy as np
 
 # ``over_under`` is not called here. It stays bound because rrocbench's
 # harness test checks that its tracer wraps this binding too.
-from .core import ConditionLike, _alpha_of, _total_losses, as_errors, over_under
+from .core import ConditionLike, _alpha_of, _alphas, _floats, _total_losses, over_under
 from .curve import RrocCurve, _optimal_vertices, over_under_at, rroc_curve
 from .errors import DataError, _shown
 
@@ -50,7 +50,7 @@ def apply_shift(predictions, s: float) -> np.ndarray:
         shift = math.inf
     if not math.isfinite(shift):
         raise DataError(f"shift must be finite, got {_shown(s)}")
-    return np.asarray(predictions, dtype=float) + shift
+    return _floats(predictions, "predictions") + shift
 
 
 def optimal_constant_shift(errors, oc: ConditionLike) -> Tuple[float, float]:
@@ -84,7 +84,7 @@ class NoShift(ShiftMethod):
     kind = "none"
 
     def shifts(self, curve: RrocCurve, alphas) -> np.ndarray:
-        return np.zeros(len(alphas))
+        return np.zeros(_alphas(alphas).size)
 
 
 class OptimalConstantShift(ShiftMethod):
@@ -133,17 +133,11 @@ def cost_curve(errors, method: ShiftMethod, alphas=None) -> CostCurve:
     shift per alpha; the shifted models are read off that curve by
     ``over_under_at``.
     """
-    e = as_errors(errors)
-    grid = default_alpha_grid() if alphas is None else np.asarray(alphas, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise DataError("alpha grid must be a nonempty 1-D sequence")
-    if np.any(~np.isfinite(grid)) or grid.min() < 0.0 or grid.max() > 1.0:
-        raise DataError("alpha grid values must lie in [0, 1]")
-    curve = rroc_curve(e)
-    shifts = np.asarray(method.shifts(curve, grid), dtype=float)
-    if shifts.shape != grid.shape:
-        raise DataError(f"shift method {method.kind!r} returned {shifts.size} shifts "
+    curve = rroc_curve(errors)
+    grid = default_alpha_grid() if alphas is None else _alphas(alphas)
+    over, under = over_under_at(curve, method.shifts(curve, grid))
+    if over.shape != grid.shape:
+        raise DataError(f"shift method {method.kind!r} returned {over.size} shifts "
                         f"for {grid.size} alphas")
-    over, under = over_under_at(curve, shifts)
-    losses = _total_losses(over, under, grid) / e.size
+    losses = _total_losses(over, under, grid) / curve.n
     return CostCurve(alphas=grid, losses=losses, method=method.kind)

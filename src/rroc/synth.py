@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Tuple
 
 import numpy as np
@@ -29,8 +30,6 @@ def parse_distribution(spec: str) -> Tuple[float, float]:
         mu, sigma = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"unparseable distribution parameters {params!r}") from None
-    if not (np.isfinite(mu) and np.isfinite(sigma)) or sigma < 0:
-        raise ConfigError(f"invalid normal parameters mu={mu!r}, sigma={sigma!r}")
     return mu, sigma
 
 
@@ -39,8 +38,15 @@ def generate_synthetic(mu: float, sigma: float, n: int, model: str, seed: int) -
 
     Deterministic for a fixed seed: the actual values are drawn first, then
     any model-specific draws, so different model kinds share the same actual
-    values under the same seed.
+    values under the same seed. Finite real ``mu`` and ``sigma >= 0`` and
+    integer ``n`` and ``seed`` are required; anything else is a ConfigError.
     """
+    try:
+        mu, sigma, n, seed = float(mu), float(sigma), operator.index(n), operator.index(seed)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("mu and sigma must be real numbers in the float range and n and seed integers") from None
+    if not (np.isfinite(mu) and np.isfinite(sigma)) or sigma < 0:
+        raise ConfigError(f"invalid normal parameters mu={mu!r}, sigma={sigma!r}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {_shown(n, str)}")
     # The most float64 values whose size in bytes numpy can describe.

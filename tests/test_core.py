@@ -8,16 +8,26 @@ from hypothesis import strategies as st
 
 from rroc import (
     ConfigError,
+    Dataset,
     DataError,
+    NoShift,
     OperatingCondition,
+    OptimalConstantShift,
     RrocPoint,
     RunConfig,
+    TrainedConstantShift,
+    aoc_brute_force,
     apply_shift,
     asymmetric_loss,
+    cost_curve,
+    default_shift_grid,
+    error_density,
     error_vector,
     generate_synthetic,
     metrics,
     over_under,
+    over_under_at,
+    rroc_curve,
     segment_alpha,
     segment_slopes,
     total_loss,
@@ -248,6 +258,71 @@ def test_huge_int_is_a_package_error_with_a_short_message(call, error):
     with pytest.raises(error) as info:
         call()
     assert len(str(info.value)) < 120, str(info.value)
+
+
+class WordShifts(NoShift):
+    def shifts(self, curve, alphas):
+        return ["x"] * len(alphas)
+
+
+E = [1.0, -2.0, 0.5]
+
+
+# Every array a caller hands in goes through one conversion: an input numpy
+# cannot convert, a complex, non-finite or misshapen one, or an alpha outside
+# [0, 1] is a package error, never numpy's exception or a NaN result.
+@pytest.mark.parametrize("call, error", [
+    (lambda: over_under([10**400]), DataError),
+    (lambda: metrics([10**400]), DataError),
+    (lambda: rroc_curve([10**400]), DataError),
+    (lambda: default_shift_grid([10**400]), DataError),
+    (lambda: TrainedConstantShift([10**400]), DataError),
+    (lambda: error_vector([10**400, 1.0], [1.0, 2.0]), DataError),
+    (lambda: Dataset(actual=[10**400], predicted={"m": [1.0]}), DataError),
+    (lambda: over_under_at(rroc_curve(E), 10**400), DataError),
+    (lambda: cost_curve(E, NoShift(), [10**400]), DataError),
+    (lambda: OptimalConstantShift().shifts(rroc_curve(E), [10**400]), DataError),
+    (lambda: aoc_brute_force(E, [0.0, 10**400]), DataError),
+    (lambda: apply_shift([10**400], 1.0), DataError),
+    (lambda: over_under([[1.0], [1.0, 2.0]]), DataError),
+    (lambda: error_vector(["x"], [1.0]), DataError),
+    (lambda: over_under_at(rroc_curve(E), "x"), DataError),
+    (lambda: cost_curve(E, WordShifts()), DataError),
+    (lambda: error_density([[1.0, 2.0]]), DataError),
+    (lambda: over_under([1 + 2j]), DataError),
+    (lambda: over_under(np.array([1 + 2j])), DataError),
+    (lambda: NoShift().shifts(rroc_curve(E), 0.5), DataError),
+    (lambda: error_density([]), DataError),
+    (lambda: OptimalConstantShift().shifts(rroc_curve(E), 0.5), DataError),
+    (lambda: OptimalConstantShift().shifts(rroc_curve(E), [2.0]), DataError),
+    (lambda: OptimalConstantShift().shifts(rroc_curve(E), [math.nan]), DataError),
+    (lambda: apply_shift([math.nan], 1.0), DataError),
+    (lambda: error_density([math.nan, 1.0]), DataError),
+    (lambda: RunConfig(alphas=("0.5",)), ConfigError),
+    (lambda: RunConfig(alphas=(None,)), ConfigError),
+    (lambda: generate_synthetic(0.0, 10**400, 5, "random", 1), ConfigError),
+    (lambda: generate_synthetic(0.0, 1.0, 2.5, "random", 1), ConfigError),
+    (lambda: generate_synthetic(0.0, 1.0, 5, "random", 1.5), ConfigError),
+    (lambda: generate_synthetic(0.0, -1.0, 5, "random", 1), ConfigError),
+], ids=["over_under-huge", "metrics-huge", "rroc_curve-huge", "default_shift_grid-huge",
+        "TrainedConstantShift-huge", "error_vector-huge", "Dataset-huge", "over_under_at-huge",
+        "cost_curve-huge-alpha", "OptimalConstantShift-huge-alpha", "aoc_brute_force-huge-grid",
+        "apply_shift-huge-prediction", "over_under-ragged", "error_vector-word", "over_under_at-word",
+        "cost_curve-word-shifts", "error_density-2d", "over_under-complex", "over_under-complex-array",
+        "NoShift-scalar-alpha", "error_density-empty", "OptimalConstantShift-scalar-alpha",
+        "OptimalConstantShift-alpha-2", "OptimalConstantShift-nan-alpha", "apply_shift-nan-prediction",
+        "error_density-nan", "RunConfig-str-alpha", "RunConfig-None-alpha", "generate_synthetic-huge-sigma",
+        "generate_synthetic-float-n", "generate_synthetic-float-seed", "generate_synthetic-negative-sigma"])
+def test_hostile_array_input_is_a_package_error_with_a_short_message(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) < 120, str(info.value)
+
+
+@pytest.mark.parametrize("values", [["1.5", "-2"], [Fraction(3, 2), -2], np.array([1.5, -2.0], np.float32)],
+                         ids=["numeric-strings", "Fraction", "float32"])
+def test_what_numpy_converts_still_converts(values):
+    assert over_under(values) == RrocPoint(1.5, -2.0)
 
 
 def test_printable_values_keep_their_messages():

@@ -69,6 +69,20 @@ def vertices_by_direct_summation(e):
     return overs, unders
 
 
+def curve_by_stable_argsort(e):
+    """Oracle: the columns as built from a stable decreasing argsort and a gather."""
+    e = np.asarray(e, dtype=float)
+    n = e.size
+    es = e[np.argsort(-e, kind="stable")]
+    if n == 1:
+        return np.zeros(1), np.zeros(1), 0.0 - es
+    d = es[:-1] - es[1:]
+    d += 0.0
+    overs = np.concatenate(([0.0], np.cumsum(np.arange(1, n) * d)))
+    w = np.arange(n - 1, 0, -1) * d
+    return overs, 0.0 - np.concatenate((np.cumsum(w[::-1])[::-1], [0.0])), 0.0 - es
+
+
 class TestCurveConstruction:
     def test_m1_shape(self, errors):
         curve = rroc_curve(errors["m1"], "m1")
@@ -143,6 +157,20 @@ class TestCurveConstruction:
         for alpha in (0.0, 0.5, 1.0):
             best = np.array(optimal_constant_shift(values, alpha))
             assert not np.signbit(best[best == 0.0]).any()
+
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                              st.integers(-8, 8).map(lambda k: k / 4), st.floats(-1e6, 1e6)),
+                    min_size=1, max_size=64))
+    @example([0.0, -0.0, 0.0])
+    @example([-0.0, 1.0, 0.0, -0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_value_sort_matches_the_stable_argsort_bit_for_bit(self, values):
+        # Tied errors are equal values, -0.0 and 0.0 included, so the order
+        # among them cannot show in any column.
+        curve = rroc_curve(values)
+        want = curve_by_stable_argsort(values)
+        for got, column in zip((curve.over, curve.under, curve.shift), want):
+            assert got.tobytes() == column.tobytes()
 
     @given(lattice_errors)
     @settings(max_examples=200, deadline=None)

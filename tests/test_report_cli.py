@@ -296,6 +296,20 @@ def reference_json(report):
     return json.dumps(fields, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def assert_same_text(got, want):
+    """Assert two report texts are equal; if not, show the first differing offset in context.
+
+    A plain ``==`` on two long texts makes pytest diff them whole, which can
+    take minutes; this shows about 80 characters around the first difference.
+    """
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    around = slice(max(at - 40, 0), at + 40)
+    pytest.fail(f"texts differ at offset {at} (lengths {len(got)} and {len(want)})\n"
+                f"  got:  {got[around]!r}\n  want: {want[around]!r}")
+
+
 # Errors on the quarter lattice tie often; -0.0 - 0.0 keeps its sign.
 quarter_or_float = st.one_of(
     st.integers(-8, 8).map(lambda k: k / 4), st.just(-0.0), st.floats(-1e3, 1e3),
@@ -325,7 +339,7 @@ class TestJsonWriter:
             report = run(config, dataset)
         except DataError:
             reject()  # the density of a subnormal spread overflows
-        assert report.to_json() == reference_json(report)
+        assert_same_text(report.to_json(), reference_json(report))
 
     @pytest.mark.parametrize("column", ["hull.under", "dominance.alpha_high"])
     def test_non_finite_column_raises_the_json_error(self, predictions_csv, column):
@@ -372,7 +386,7 @@ class TestJsonWriter:
         texted = []
         texts = report_module._texts
         monkeypatch.setattr(report_module, "_texts", lambda column: texted.append(column.size) or texts(column))
-        assert report.to_json() == reference_json(report)
+        assert_same_text(report.to_json(), reference_json(report))
         # Over, under and shift of every vertex and the dominance highs; no hull row is texted again.
         assert sum(texted) == 3 * sum(e["curve"].n for e in report.models.values()) + report.dominance.alpha_high.size
 
@@ -391,7 +405,7 @@ class TestJsonWriter:
         hull = ConvexHull(over, under, h.model_rank, h.vertex_index, h.model_ids)
         report = replace(report, hull=hull, dominance=DominanceMap(d.alpha_high, d.hull_row, hull))
         text = report.to_json()
-        assert text == reference_json(report)
+        assert_same_text(text, reference_json(report))
         hull_text = text[text.index('"hull":'):text.index('"dominance":')]
         model = json.dumps(h.model_ids[h.model_rank[-1]])
         zero = repr(float(under[-1]) / report.axis_scale)
