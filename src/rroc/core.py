@@ -179,10 +179,20 @@ def error_vector(predicted: Sequence[float], actual: Sequence[float]) -> np.ndar
     if p.size != a.size:
         raise DataError(f"length mismatch: {p.size} predictions vs {a.size} actuals")
     with np.errstate(over="ignore"):
-        e = p - a
-    if not np.all(np.isfinite(e)):
-        raise DataError("predicted - actual overflows to non-finite errors; rescale the input")
-    return e
+        return _finite(p - a, "predicted - actual overflows")
+
+
+def _finite(result, what: str = "error sums overflow"):
+    """``result``, a float or arrays computed from finite inputs, if it is finite.
+
+    The one overflow rule: library arithmetic on finite inputs runs under
+    ``np.errstate(over="ignore", invalid="ignore")`` and passes its result
+    here, so a sum beyond the float range is a DataError "<what> to
+    non-finite values; rescale the input", never a numpy warning.
+    """
+    if not (math.isfinite(result) if isinstance(result, float) else np.isfinite(result).all()):
+        raise DataError(f"{what} to non-finite values; rescale the input")
+    return result
 
 
 def over_under(errors) -> RrocPoint:
@@ -191,8 +201,9 @@ def over_under(errors) -> RrocPoint:
     Strict inequalities: exact zero errors count toward neither sum.
     """
     e = as_errors(errors)
-    over = float(e[e > 0].sum())
-    under = float(e[e < 0].sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        over = _finite(float(e[e > 0].sum()))
+        under = _finite(float(e[e < 0].sum()))
     return RrocPoint(over, under)
 
 
@@ -200,13 +211,11 @@ def metrics(errors) -> SummaryMetrics:
     """Summary metrics of an error vector (population variance)."""
     e = as_errors(errors)
     point = over_under(e)
-    mae = float(np.mean(np.abs(e)))
-    mse = float(np.mean(e * e))
-    bias = float(np.mean(e))
-    # np.var is the stable two-pass population variance; the mse - bias**2
-    # form loses digits when the spread is tiny relative to the bias.
-    variance = float(np.var(e))
-    return SummaryMetrics(mae=mae, mse=mse, bias=bias, variance=variance, mmse=point.mmse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # np.var is the stable two-pass population variance; the mse - bias**2
+        # form loses digits when the spread is tiny relative to the bias.
+        sums = [np.mean(np.abs(e)), np.mean(e * e), np.mean(e), np.var(e), point.mmse]
+    return SummaryMetrics(*(float(_finite(s)) for s in sums))
 
 
 def asymmetric_loss(predicted: float, actual: float, oc: ConditionLike) -> float:
@@ -216,16 +225,19 @@ def asymmetric_loss(predicted: float, actual: float, oc: ConditionLike) -> float
     ``2*(1-alpha)*(predicted - actual)`` otherwise; an exact prediction
     costs 0. At alpha = 0.5 this is the plain absolute error.
     """
-    e = predicted - actual
+    e = error_vector([predicted], [actual]).item()
     return float(_total_losses(max(e, 0.0), min(e, 0.0), _alpha_of(oc)))
 
 
 def _total_losses(over, under, alpha):
     """``total_loss`` elementwise over broadcast over, under and alpha arrays."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         under_term = np.where(alpha == 0.0, 0.0, -2.0 * alpha * under)
         over_term = np.where(alpha == 1.0, 0.0, 2.0 * (1.0 - alpha) * over)
-    return under_term + over_term
+        loss = under_term + over_term
+    if not np.isfinite(loss).all():  # only finite points must have finite losses
+        _finite(np.where(np.isfinite(over) & np.isfinite(under), loss, 0.0), "losses overflow")
+    return loss
 
 
 def total_loss(point: RrocPoint, oc: ConditionLike) -> float:

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import _alphas, _floats, _total_losses, as_errors
+from .core import _alphas, _finite, _floats, _total_losses, as_errors
 from .errors import DataError, _shown
 
 __all__ = [
@@ -172,11 +172,12 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
     e = as_errors(errors)
     n = e.size
     es = np.sort(e)[::-1]
-    d = es[:-1] - es[1:]
-    d += 0.0  # a tie of -0.0 and 0.0 gives d = -0.0; every zero coordinate is +0.0
-    overs = np.concatenate(([0.0], np.cumsum(np.arange(1, n) * d)))
-    w = np.arange(n - 1, 0, -1) * d
-    unders = 0.0 - np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = es[:-1] - es[1:]
+        d += 0.0  # a tie of -0.0 and 0.0 gives d = -0.0; every zero coordinate is +0.0
+        overs = np.concatenate(([0.0], np.cumsum(np.arange(1, n) * d)))
+        w = np.arange(n - 1, 0, -1) * d
+        unders = 0.0 - np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
     return RrocCurve(overs, unders, 0.0 - es, model_id=model_id)  # an error of 0.0 has the shift +0.0
 
 
@@ -206,10 +207,7 @@ def over_under_at(curve: RrocCurve, shifts) -> Tuple[np.ndarray, np.ndarray]:
             ds = ds / curve.n
         over = curve.over[k] + j * ds
         under = curve.under[k] + (curve.n - j) * ds
-    if not (np.isfinite(over).all() and np.isfinite(under).all()):
-        raise DataError("OVER or UNDER of a shifted model overflows to non-finite values; "
-                        "rescale the input")
-    return over, under
+    return _finite((over, under), "OVER or UNDER of a shifted model overflows")
 
 
 def _optimal_vertices(curve: RrocCurve, alphas) -> Tuple[np.ndarray, np.ndarray]:
@@ -268,7 +266,8 @@ def aoc(curve: RrocCurve) -> float:
     ``population_variance(e) * n**2 / 2`` for the curve of ``e``.
     """
     ov, un = curve.over, curve.under
-    return float(np.sum(-(un[1:] + un[:-1]) / 2.0 * (ov[1:] - ov[:-1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(np.sum(-(un[1:] + un[:-1]) / 2.0 * (ov[1:] - ov[:-1]))))
 
 
 def default_shift_grid(errors) -> np.ndarray:
@@ -282,7 +281,8 @@ def default_shift_grid(errors) -> np.ndarray:
     n = e.size
     lo, hi = float(-e.max()), float(-e.min())
     span = max(hi - lo, 1.0)
-    even = np.linspace(lo - span, hi + span, 10 * n * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        even = _finite(np.linspace(lo - span, hi + span, 10 * n * n), "the shift grid overflows")
     return np.unique(np.concatenate((even, -e)))
 
 
@@ -303,10 +303,11 @@ def aoc_brute_force(errors, grid=None) -> float:
     if np.any(np.diff(g) <= 0):
         raise DataError("shift grid must be strictly increasing")
 
-    t = e[None, :] + g[:, None]
-    over = np.where(t > 0, t, 0.0).sum(axis=1)
-    under = np.where(t < 0, t, 0.0).sum(axis=1)
-    return float(np.sum(-(under[1:] + under[:-1]) / 2.0 * (over[1:] - over[:-1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = e[None, :] + g[:, None]
+        over = np.where(t > 0, t, 0.0).sum(axis=1)
+        under = np.where(t < 0, t, 0.0).sum(axis=1)
+        return _finite(float(np.sum(-(under[1:] + under[:-1]) / 2.0 * (over[1:] - over[:-1]))))
 
 
 def normalized_curve(curve: RrocCurve) -> RrocCurve:
@@ -332,7 +333,7 @@ def is_convex(curve: RrocCurve) -> bool:
     """
     keep = curve.distinct_vertices()
     dx, dy = np.diff(curve.over[keep]), np.diff(curve.under[keep])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slopes = np.where(dx == 0.0, math.inf, dy / dx)
     prev, cur = slopes[:-1], slopes[1:]
     bound = prev + CONVEX_REL_TOL * np.maximum(np.maximum(np.abs(prev), np.abs(cur)), 1.0)

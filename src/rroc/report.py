@@ -13,15 +13,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    ConvexHull,
-    DominanceMap,
-    best_point_for_alpha,
-    convex_hull,
-    dominance_map,
-    isometric_through,
-)
-from .core import RrocPoint, _total_losses, as_errors, metrics, over_under, total_loss
+from .analysis import ConvexHull, DominanceMap, convex_hull, dominance_map, isometric_through
+from .core import RrocPoint, _finite, _total_losses, as_errors, metrics, over_under, total_loss
 from .curve import RrocCurve, _optimal_vertices, aoc, rroc_curve
 from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError, _shown
@@ -57,6 +50,8 @@ class RunConfig:
         if bad:
             # Each rejected value is listed; only one too long to print is cut.
             raise ConfigError(f"alpha values outside [0, 1]: [{', '.join(map(_shown, bad))}]")
+        # Stored as floats, so a Fraction or a numpy scalar writes as the equal float.
+        object.__setattr__(self, "alphas", tuple(map(float, self.alphas)))
 
 
 @dataclass
@@ -275,24 +270,27 @@ def error_density(errors):
     """
     e = as_errors(errors)
     n = e.size
-    q75, q25 = np.percentile(e, [75, 25])
-    candidates = [c for c in (float(np.std(e)), (q75 - q25) / 1.34) if c > 0]
-    spread = min(candidates) if candidates else 0.0
-    h = 0.9 * spread * n ** (-0.2)
-    if h <= 0:
-        h = max(1e-3 * max(abs(float(e[0])), 1.0), 1e-12)
-    xs = np.linspace(e.min() - 3 * h, e.max() + 3 * h, DENSITY_POINTS)
-    sums = _binned_kernel_sums(e, xs, h)
-    if sums is None:
-        # The exact sum: the kernel matrix is summed a block of grid rows at a
-        # time, about 2**18 entries each, so memory stays linear in n; each
-        # row's sum is unchanged.
-        sums = np.empty(DENSITY_POINTS)
-        rows = max(1, 2**18 // n)
-        for i in range(0, DENSITY_POINTS, rows):
-            z = (xs[i:i + rows, None] - e[None, :]) / h
-            sums[i:i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
-    return xs, sums / (n * h * np.sqrt(2 * np.pi))
+    # The spread, the grid or the density itself can overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q75, q25 = np.percentile(e, [75, 25])
+        candidates = [c for c in (float(np.std(e)), (q75 - q25) / 1.34) if c > 0]
+        spread = min(candidates) if candidates else 0.0
+        h = 0.9 * spread * n ** (-0.2)
+        if h <= 0:
+            h = max(1e-3 * max(abs(float(e[0])), 1.0), 1e-12)
+        xs = np.linspace(e.min() - 3 * h, e.max() + 3 * h, DENSITY_POINTS)
+        sums = _binned_kernel_sums(e, xs, h)
+        if sums is None:
+            # The exact sum: the kernel matrix is summed a block of grid rows at a
+            # time, about 2**18 entries each, so memory stays linear in n; each
+            # row's sum is unchanged.
+            sums = np.empty(DENSITY_POINTS)
+            rows = max(1, 2**18 // n)
+            for i in range(0, DENSITY_POINTS, rows):
+                z = (xs[i:i + rows, None] - e[None, :]) / h
+                sums[i:i + rows] = np.exp(-0.5 * z * z).sum(axis=1)
+        density = sums / (n * h * np.sqrt(2 * np.pi))
+    return _finite((xs, density), "the error density overflows")
 
 
 def _binned_kernel_sums(e, xs, h):
@@ -329,21 +327,10 @@ def _analyze_model(
 ) -> Tuple[dict, RrocPoint, RrocCurve]:
     """The report entry of one model, with its point and curve."""
     wants = set(config.outputs)
-    # Overflow is reported below as a data error, not as numpy warnings. The
-    # sums overflow first: while every e*e is finite, so are the curve's
-    # coordinates, and only its area can still overflow.
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = asdict(metrics(e))
-        point = over_under(e)
-        sums = [*summary.values(), point.over, point.under]
-        if all(map(math.isfinite, sums)):
-            curve = rroc_curve(e, model_id=model_id)
-            area = aoc(curve)
-            sums.append(area)
-    if not all(map(math.isfinite, sums)):
-        raise DataError(
-            f"model {model_id!r}: error sums overflow to non-finite values; rescale the input"
-        )
+    summary = asdict(metrics(e))
+    point = over_under(e)
+    curve = rroc_curve(e, model_id=model_id)
+    area = aoc(curve)
     scale = float(e.size) if config.normalize else 1.0
     entry: dict = {
         "metrics": summary,
@@ -366,12 +353,7 @@ def _analyze_model(
             "optimal_constant": optimal_losses.tolist(),
         }
     if "density" in wants:
-        with np.errstate(over="ignore"):
-            xs, density = error_density(e)
-        if not np.all(np.isfinite(density)):
-            raise DataError(
-                f"model {model_id!r}: the error density overflows for so narrow a spread; rescale the input"
-            )
+        xs, density = error_density(e)
         entry["density"] = {"x": xs.tolist(), "density": density.tolist()}
     return entry, point, curve
 
@@ -390,7 +372,10 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
     model_ids = dataset.model_ids
     models, points, curves = {}, {}, {}
     for m in model_ids:
-        models[m], points[m], curves[m] = _analyze_model(m, dataset.errors(m), config)
+        try:
+            models[m], points[m], curves[m] = _analyze_model(m, dataset.errors(m), config)
+        except DataError as exc:
+            raise DataError(f"model {m!r}: {exc}") from None
 
     wants = set(config.outputs)
     hull = dominance = None
@@ -406,9 +391,9 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
         alpha_queries = []
         for a in config.alphas:
             losses = {m: total_loss(points[m], a) for m in model_ids}
-            best_point, _ = best_point_for_alpha(list(points.values()), a)
-            best_id = min(m for m in model_ids if points[m] == best_point)
-            iso = isometric_through(best_point, a)
+            # Lower loss wins, then lower OVER, then lower |UNDER|, then the smaller id.
+            best_id = min(model_ids, key=lambda m: (losses[m], points[m].over, -points[m].under, m))
+            iso = isometric_through(points[best_id], a)
             alpha_queries.append(
                 {
                     "alpha": a,

@@ -22,7 +22,7 @@ import numpy as np
 
 # ``over_under`` is not called here. It stays bound because rrocbench's
 # harness test checks that its tracer wraps this binding too.
-from .core import ConditionLike, _alpha_of, _alphas, _floats, _total_losses, over_under
+from .core import ConditionLike, _alpha_of, _alphas, _finite, _floats, _total_losses, over_under
 from .curve import RrocCurve, _optimal_vertices, over_under_at, rroc_curve
 from .errors import DataError, _shown
 
@@ -50,7 +50,8 @@ def apply_shift(predictions, s: float) -> np.ndarray:
         shift = math.inf
     if not math.isfinite(shift):
         raise DataError(f"shift must be finite, got {_shown(s)}")
-    return _floats(predictions, "predictions") + shift
+    with np.errstate(over="ignore"):
+        return _finite(_floats(predictions, "predictions") + shift, "shifted predictions overflow")
 
 
 def optimal_constant_shift(errors, oc: ConditionLike) -> Tuple[float, float]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,15 +17,19 @@ from rroc import (
     RrocPoint,
     RunConfig,
     TrainedConstantShift,
+    aoc,
     aoc_brute_force,
     apply_shift,
     asymmetric_loss,
+    best_point_for_alpha,
     cost_curve,
     default_shift_grid,
     error_density,
     error_vector,
     generate_synthetic,
+    isometric_through,
     metrics,
+    optimal_constant_shift,
     over_under,
     over_under_at,
     rroc_curve,
@@ -175,6 +180,8 @@ class TestTotalLoss:
         assert total_loss(under_extreme, 0.0) == 0.0
         assert total_loss(over_extreme, 1.0) == 0.0
         assert total_loss(under_extreme, 0.5) == math.inf
+        assert total_loss(over_extreme, 0.5) == math.inf
+        assert best_point_for_alpha([under_extreme, RrocPoint(1.0, -1.0)], 0.5) == (RrocPoint(1.0, -1.0), 2.0)
 
     @given(finite_errors, st.floats(0, 1, allow_nan=False))
     @settings(max_examples=200, deadline=None)
@@ -334,3 +341,39 @@ def test_printable_values_keep_their_messages():
     with pytest.raises(ConfigError) as info:
         RunConfig(alphas=(0.5, *bad))
     assert str(info.value) == f"alpha values outside [0, 1]: {bad!r}"
+
+
+BIG = RrocPoint(1.7e308, -1.7e308)
+
+
+# One overflow rule: a result computed from finite inputs that leaves the float
+# range is a DataError ending "to non-finite values; rescale the input" (a
+# sweep's overflowing coordinates are refused by the curve constructor), and
+# no numpy warning is printed on the way.
+@pytest.mark.parametrize("call", [
+    lambda: over_under([1e308, 1e308]),
+    lambda: metrics([1e160, 1.0]),
+    lambda: apply_shift([1e308], 1e308),
+    lambda: rroc_curve([1e308, -1e308]),
+    lambda: optimal_constant_shift([1e308, -1e308], 0.5),
+    lambda: cost_curve([1e308, -1e308], OptimalConstantShift()),
+    lambda: TrainedConstantShift([1e308, -1e308]),
+    lambda: aoc(rroc_curve([1e200, -1e200, 3e200])),
+    lambda: default_shift_grid([1e308, -1e308]),
+    lambda: aoc_brute_force([1e308, -1e308]),
+    lambda: error_density([1e308, -1e308]),
+    lambda: total_loss(BIG, 0.5),
+    lambda: isometric_through(BIG, 0.5),
+    lambda: best_point_for_alpha([BIG], 0.5),
+    lambda: best_point_for_alpha([RrocPoint(0.0, -math.inf), BIG], 0.5),
+    lambda: asymmetric_loss(1e308, -1e308, 0.5),
+], ids=["over_under", "metrics", "apply_shift", "rroc_curve", "optimal_constant_shift",
+        "cost_curve-optimal", "TrainedConstantShift", "aoc", "default_shift_grid", "aoc_brute_force",
+        "error_density", "total_loss", "isometric_through", "best_point_for_alpha",
+        "best_point_for_alpha-beside-an-extreme", "asymmetric_loss"])
+def test_overflow_from_finite_inputs_is_a_data_error_without_warnings(call, capfd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="to non-finite values; rescale the input$|must be finite$"):
+            call()
+    assert capfd.readouterr() == ("", "")

@@ -390,6 +390,11 @@ class TestConvexity:
         )
         assert not is_convex(curve)
 
+    def test_slope_beyond_the_float_range_is_steep_without_warnings(self):
+        # The first segment's slope, 1e300 / 1e-300, is an inf float: vertical.
+        curve = RrocCurve(over=[0.0, 1e-300, 1.0], under=[-1e300, 0.0, 0.0], shift=[0.0, 1.0, 2.0])
+        assert is_convex(curve)
+
 
 class TestCurveValidation:
     def test_aoc_needs_finite_interior(self):

@@ -13,6 +13,7 @@ import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -241,6 +242,36 @@ class TestRunPipeline:
     def test_alpha_out_of_range_rejected(self, predictions_csv):
         with pytest.raises(ConfigError):
             RunConfig(input=str(predictions_csv), alphas=(1.5,))
+
+    def test_memory_stays_linear_in_n(self):
+        # Every output kind at 5,000 and 50,000 rows x 3 models: a stage
+        # quadratic in n would push the peak ratio far past 12.
+        def peak(n):
+            rng = np.random.default_rng(7)
+            actual = rng.normal(0.0, 1.0, n)
+            dataset = Dataset(actual, {f"m{i}": actual + rng.normal(0.1 * i, 1 + 0.2 * i, n) for i in range(3)})
+            config = RunConfig(alphas=(0.2, 0.8), outputs=OUTPUT_KINDS, reproducible=True)
+            tracemalloc.start()
+            try:
+                report = run(config, dataset)
+                report.to_json()
+                render_svg(report)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50_000) / peak(5_000) <= 12
+
+    @pytest.mark.parametrize("alpha, equal", [
+        (Fraction(1, 2), 0.5), (np.float32(0.5), 0.5), (np.int64(1), 1.0), (True, 1.0), (0, 0.0),
+    ], ids=["Fraction", "float32", "int64", "True", "int"])
+    def test_any_real_alpha_writes_as_the_equal_float(self, alpha, equal):
+        dataset = Dataset(np.zeros(3), {"a": [1.0, -2.0, 0.5], "b": [0.5, 0.5, -1.0]})
+
+        def report(a):
+            return run(RunConfig(alphas=(0.2, a), reproducible=True), dataset).to_json()
+
+        assert report(alpha) == report(equal)
 
 
 def reference_json(report):
@@ -553,16 +584,17 @@ class TestErrorDensity:
         e[:tied] = np.round(e[:tied])
         e[rng.choice(n, outliers, replace=False)] = reach * rng.choice([-1.0, 1.0], outliers)
         e *= scale
-        # The report computes the density under this errstate and turns a
-        # non-finite result into its data error; nothing else may warn.
+        # A density beyond the float range is a data error; nothing may warn.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with np.errstate(over="ignore"):
+            try:
                 got = error_density(e)
-        if np.all(np.isfinite(got[1])):
-            with np.errstate(all="ignore"):
-                want = dense_error_density(e)
-            assert_within_binning_tolerance(got, want)
+            except DataError as exc:
+                assert str(exc) == "the error density overflows to non-finite values; rescale the input"
+                return
+        with np.errstate(all="ignore"):
+            want = dense_error_density(e)
+        assert_within_binning_tolerance(got, want)
 
 
 class TestSynthetic:
