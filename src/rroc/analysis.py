@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .core import ConditionLike, RrocPoint, _alpha_of, _total_losses, total_loss
+from .core import ConditionLike, OperatingCondition, RrocPoint, _alpha_of, _total_losses, total_loss
 from .curve import RrocCurve
 from .errors import DataError
 
@@ -61,21 +61,20 @@ def isometric_through(point: RrocPoint, oc: ConditionLike) -> Isometric:
     """The isometric line through ``point`` for asymmetry alpha."""
     a = _alpha_of(oc)
     level = total_loss(point, a)
-    if a > 0.0:
-        slope = (1.0 - a) / a
+    slope = OperatingCondition(a).slope
+    if math.isfinite(slope):
         intercept = point.under - slope * point.over
-        if math.isfinite(slope) and math.isfinite(intercept):
+        if math.isfinite(intercept):
             return Isometric(alpha=a, slope=slope, intercept=intercept, level=level)
     return Isometric(alpha=a, slope=math.inf, intercept=None, level=level)
 
 
-def best_point_for_alpha(
-    points: Sequence[RrocPoint], oc: ConditionLike
-) -> Tuple[RrocPoint, float]:
+def best_point_for_alpha(points: Iterable[RrocPoint], oc: ConditionLike) -> Tuple[RrocPoint, float]:
     """The point of minimum total loss at asymmetry alpha, with its loss.
 
     Exact loss ties go to lower over, then lower |under|, then the first.
     """
+    points = list(points)
     if not points:
         raise DataError("need at least one point")
     over = np.array([p.over for p in points])
@@ -109,18 +108,16 @@ class HybridSegment:
 
 
 def hybrid_segment(a: RrocPoint, b: RrocPoint) -> HybridSegment:
-    """Segment between two distinct finite points with its crossover condition."""
+    """Segment between two distinct finite points with its crossover condition in [0, 1]."""
     if not (a.is_finite and b.is_finite):
         raise DataError("hybrid endpoints must be finite points")
     if a.over == b.over and a.under == b.under:
         raise DataError("hybrid endpoints must be distinct")
-    if a.over == b.over:
-        # Vertical segment: only alpha = 0 weighs the two equally (both free).
-        slope = math.inf
-        alpha = 0.0
-    else:
-        slope = (b.under - a.under) / (b.over - a.over)
-        alpha = 1.0 / (1.0 + slope)
+    # A vertical pair (same OVER) has slope inf, so only alpha = 0 weighs it equally.
+    slope = math.inf if a.over == b.over else (b.under - a.under) / (b.over - a.over)
+    if slope < 0.0:
+        raise DataError("one hybrid endpoint dominates the other: no alpha gives them equal loss")
+    alpha = OperatingCondition.from_slope(slope).alpha
     loss = alpha * -a.under + (1.0 - alpha) * a.over
     return HybridSegment(endpoint_a=a, endpoint_b=b, slope=slope, crossover_alpha=alpha, crossover_loss=loss)
 

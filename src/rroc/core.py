@@ -37,19 +37,34 @@ __all__ = [
 ]
 
 
+def _real(value) -> float:
+    """``value`` as a float: the one conversion of a caller's single number.
+
+    A real number (numpy scalars, ``Fraction`` and bool included) converts, an
+    int beyond the float range is the infinity of its sign, and anything else
+    (a string, None, a complex, an array) is NaN, which every range check rejects.
+    """
+    try:
+        return float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class OperatingCondition:
     """Cost asymmetry alpha in [0, 1] with its derived isometric slope.
 
-    Any real number is accepted (numpy scalars included) and stored as a float.
+    The one map between an alpha and its slope. Any real number is accepted
+    (numpy scalars included) and stored as a float.
     """
 
     alpha: float
 
     def __post_init__(self):
-        if not (isinstance(self.alpha, numbers.Real) and 0.0 <= self.alpha <= 1.0):
+        alpha = _real(self.alpha)
+        if not 0.0 <= alpha <= 1.0:
             raise DataError(f"alpha must be in [0, 1], got {_shown(self.alpha)}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def slope(self) -> float:
@@ -60,18 +75,11 @@ class OperatingCondition:
 
     @classmethod
     def from_slope(cls, slope: float) -> "OperatingCondition":
-        """Inverse mapping alpha = 1 / (1 + slope); slope=inf gives alpha=0.
-
-        So does an int too large for a float, such as 10**400.
-        """
-        # Not ``math.isnan``: it converts to float. Comparing ints is exact and
-        # NaN compares false.
-        if not slope >= 0.0:
+        """Inverse mapping alpha = 1 / (1 + slope); slope=inf (or 10**400) gives alpha=0."""
+        s = _real(slope)
+        if not s >= 0.0:
             raise DataError(f"slope must be nonnegative, got {_shown(slope)}")
-        try:
-            return cls(1.0 / (1.0 + slope))
-        except OverflowError:  # an int beyond the float range
-            return cls(0.0)
+        return cls(1.0 / (1.0 + s))
 
 
 ConditionLike = Union[OperatingCondition, float, int]
@@ -88,22 +96,23 @@ def _alpha_of(oc: ConditionLike) -> float:
 class RrocPoint:
     """A model's position in RROC space: (total OVER, total UNDER).
 
-    ``over >= 0`` and ``under <= 0``; infinities are allowed so the extreme
-    models at (0, -inf) and (inf, 0) are representable.
+    Both coordinates are stored as floats, ``over >= 0`` and ``under <= 0``.
+    A coordinate is infinite only in the extreme models (0, -inf) and (inf, 0).
     """
 
     over: float
     under: float
 
     def __post_init__(self):
-        try:
-            if math.isnan(self.over) or self.over < 0.0:
-                raise DataError(f"over must be >= 0, got {_shown(self.over)}")
-            if math.isnan(self.under) or self.under > 0.0:
-                raise DataError(f"under must be <= 0, got {_shown(self.under)}")
-        except OverflowError:  # math.isnan of an int beyond the float range
-            raise DataError(f"over and under must be in the float range, got "
-                            f"{_shown(self.over)}, {_shown(self.under)}") from None
+        over, under = _real(self.over), _real(self.under)
+        if not over >= 0.0:
+            raise DataError(f"over must be >= 0, got {_shown(self.over)}")
+        if not under <= 0.0:
+            raise DataError(f"under must be <= 0, got {_shown(self.under)}")
+        if math.isinf(over) and under != 0.0 or math.isinf(under) and over != 0.0:
+            raise DataError(f"point ({_shown(self.over)}, {_shown(self.under)}) is infinite but not an extreme")
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "under", under)
 
     @property
     def is_finite(self) -> bool:

@@ -178,6 +178,8 @@ def rroc_curve(errors, model_id: Optional[str] = None) -> RrocCurve:
         overs = np.concatenate(([0.0], np.cumsum(np.arange(1, n) * d)))
         w = np.arange(n - 1, 0, -1) * d
         unders = 0.0 - np.concatenate((np.cumsum(w[::-1])[::-1], [0.0]))
+    # Both columns are monotone, so their ends bound every coordinate.
+    _finite(max(overs.item(-1), -unders.item(0)), "the RROC sweep overflows")
     return RrocCurve(overs, unders, 0.0 - es, model_id=model_id)  # an error of 0.0 has the shift +0.0
 
 

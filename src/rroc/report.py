@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -14,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import ConvexHull, DominanceMap, convex_hull, dominance_map, isometric_through
-from .core import RrocPoint, _finite, _total_losses, as_errors, metrics, over_under, total_loss
+from .core import RrocPoint, _finite, _real, _total_losses, as_errors, metrics, over_under, total_loss
 from .curve import RrocCurve, _optimal_vertices, aoc, rroc_curve
 from .data import Dataset, load_predictions
 from .errors import ConfigError, DataError, _shown
@@ -46,12 +45,13 @@ class RunConfig:
             )
         if not self.outputs:
             raise ConfigError("at least one output kind is required")
-        bad = [a for a in self.alphas if not (isinstance(a, numbers.Real) and 0.0 <= a <= 1.0)]
+        alphas = tuple(map(_real, self.alphas))
+        bad = [a for a, x in zip(self.alphas, alphas) if not 0.0 <= x <= 1.0]
         if bad:
             # Each rejected value is listed; only one too long to print is cut.
             raise ConfigError(f"alpha values outside [0, 1]: [{', '.join(map(_shown, bad))}]")
         # Stored as floats, so a Fraction or a numpy scalar writes as the equal float.
-        object.__setattr__(self, "alphas", tuple(map(float, self.alphas)))
+        object.__setattr__(self, "alphas", alphas)
 
 
 @dataclass

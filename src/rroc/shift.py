@@ -14,7 +14,6 @@ slopes are fixed by n, so the optimal vertex is found by index, not by search.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -22,7 +21,7 @@ import numpy as np
 
 # ``over_under`` is not called here. It stays bound because rrocbench's
 # harness test checks that its tracer wraps this binding too.
-from .core import ConditionLike, _alpha_of, _alphas, _finite, _floats, _total_losses, over_under
+from .core import ConditionLike, _alpha_of, _alphas, _finite, _floats, _real, _total_losses, over_under
 from .curve import RrocCurve, _optimal_vertices, over_under_at, rroc_curve
 from .errors import DataError, _shown
 
@@ -44,10 +43,7 @@ def apply_shift(predictions, s: float) -> np.ndarray:
 
     ``s`` is any finite real number, numpy scalars included.
     """
-    try:
-        shift = float(s) if isinstance(s, numbers.Real) else math.nan
-    except OverflowError:  # an int beyond the float range
-        shift = math.inf
+    shift = _real(s)
     if not math.isfinite(shift):
         raise DataError(f"shift must be finite, got {_shown(s)}")
     with np.errstate(over="ignore"):

@@ -222,6 +222,11 @@ class TestHybridSegment:
         assert seg.is_vertical
         assert seg.crossover_alpha == 0.0
 
+    def test_horizontal_segment_crosses_at_one(self):
+        seg = hybrid_segment(RrocPoint(1.0, -2.0), RrocPoint(3.0, -2.0))
+        assert seg.slope == 0.0
+        assert seg.crossover_alpha == 1.0
+
     def test_identical_endpoints_rejected(self, points):
         with pytest.raises(DataError):
             hybrid_segment(points["m1"], points["m1"])

@@ -22,11 +22,13 @@ from rroc import (
     apply_shift,
     asymmetric_loss,
     best_point_for_alpha,
+    convex_hull,
     cost_curve,
     default_shift_grid,
     error_density,
     error_vector,
     generate_synthetic,
+    hybrid_segment,
     isometric_through,
     metrics,
     optimal_constant_shift,
@@ -243,6 +245,7 @@ class TestRrocPoint:
 
     def test_accepts_extremes(self):
         assert not RrocPoint(0.0, -math.inf).is_finite
+        assert not RrocPoint(math.inf, 0.0).is_finite
         assert RrocPoint(0.0, -0.0).is_finite
 
 
@@ -265,6 +268,43 @@ def test_huge_int_is_a_package_error_with_a_short_message(call, error):
     with pytest.raises(error) as info:
         call()
     assert len(str(info.value)) < 120, str(info.value)
+
+
+# A caller's single number goes through one conversion: a real number is the
+# equal float, an int beyond the float range the infinity of its sign, and
+# anything else is refused by the range check of the value it stands for.
+@pytest.mark.parametrize("call", [
+    lambda e: RrocPoint("1", 0.0),
+    lambda e: RrocPoint(None, 0.0),
+    lambda e: RrocPoint(1j, 0.0),
+    lambda e: RrocPoint(np.array([1.0]), -1.0),
+    lambda e: RrocPoint(math.inf, -1.0),
+    lambda e: OperatingCondition.from_slope("1"),
+    lambda e: OperatingCondition.from_slope(None),
+    lambda e: hybrid_segment(over_under(e["m2"]), over_under(e["m4"])),
+    lambda e: hybrid_segment(RrocPoint(1.0, -1.0), RrocPoint(2.0, -2.0)),
+], ids=["RrocPoint-str", "RrocPoint-None", "RrocPoint-complex", "RrocPoint-array", "RrocPoint-inf-over",
+        "from_slope-str", "from_slope-None", "hybrid_segment-m2-m4", "hybrid_segment-slope-minus-1"])
+def test_hostile_single_number_is_a_data_error_with_a_short_message(call, errors):
+    with pytest.raises(DataError) as info:
+        call(errors)
+    assert len(str(info.value)) < 120, str(info.value)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), np.int64(2), True],
+                         ids=["Fraction", "float32", "int64", "bool"])
+def test_real_coordinate_is_stored_as_the_equal_float(value):
+    point = RrocPoint(value, -value)
+    assert type(point.over) is float and type(point.under) is float
+    assert (point.over, point.under) == (float(value), -float(value))
+
+
+def test_converted_points_feed_the_hull_and_the_best_point():
+    hull = convex_hull({"a": RrocPoint(Fraction(1, 2), -1)})
+    assert hull.over.dtype == hull.under.dtype == np.float64
+    assert best_point_for_alpha(iter([RrocPoint(1.0, -1.0)]), 0.5) == (RrocPoint(1.0, -1.0), 2.0)
+    assert RrocPoint(10**400, 0.0) == RrocPoint(math.inf, 0.0)
+    assert RrocPoint(0, -10**400) == RrocPoint(0.0, -math.inf)
 
 
 class WordShifts(NoShift):
@@ -347,9 +387,8 @@ BIG = RrocPoint(1.7e308, -1.7e308)
 
 
 # One overflow rule: a result computed from finite inputs that leaves the float
-# range is a DataError ending "to non-finite values; rescale the input" (a
-# sweep's overflowing coordinates are refused by the curve constructor), and
-# no numpy warning is printed on the way.
+# range is a DataError ending "to non-finite values; rescale the input" (an
+# RROC sweep's coordinates included), and no numpy warning is printed on the way.
 @pytest.mark.parametrize("call", [
     lambda: over_under([1e308, 1e308]),
     lambda: metrics([1e160, 1.0]),
@@ -374,6 +413,6 @@ BIG = RrocPoint(1.7e308, -1.7e308)
 def test_overflow_from_finite_inputs_is_a_data_error_without_warnings(call, capfd):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DataError, match="to non-finite values; rescale the input$|must be finite$"):
+        with pytest.raises(DataError, match="to non-finite values; rescale the input$"):
             call()
     assert capfd.readouterr() == ("", "")
