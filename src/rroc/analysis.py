@@ -148,11 +148,11 @@ class ConvexHull:
     The finite frontier points are stored as read-only columns: ``over``,
     ``under``, ``model_rank`` (an index into the sorted ``model_ids``) and
     ``vertex_index`` (an index into the curve's ``distinct_vertices()``, -1
-    for point inputs). They are exactly the candidates that are loss-optimal
-    for some alpha (collinear frontier points are kept: they are optimal for
-    the same alpha but are distinct achievable operating points). Every input
-    point not on the hull is suboptimal for every alpha. The (0, -inf) and
-    (inf, 0) extremes are implied at either end.
+    for point inputs). They are the candidates loss-optimal for some alpha, up
+    to ``COLLINEAR_EPS``: collinear points are kept (each is a distinct
+    operating point), and so may be one that lies up to that relative
+    tolerance below the exact chord. Every other input point is suboptimal for
+    every alpha. The (0, -inf) and (inf, 0) extremes are implied at either end.
 
     ``finite_points`` is the tuple of ``HullPoint``, built once on first access.
     """

@@ -61,14 +61,14 @@ def _parse_alphas(raw: str):
             alphas.append(float(part))
         except ValueError:
             raise ConfigError(f"unparseable alpha {part!r}") from None
-    return tuple(alphas)
+    return alphas
 
 
 def _cmd_analyze(args) -> int:
     config = RunConfig(
         input=args.input,
         alphas=_parse_alphas(args.alpha),
-        outputs=tuple(o.strip() for o in args.outputs.split(",") if o.strip()),
+        outputs=[o.strip() for o in args.outputs.split(",") if o.strip()],
         normalize=args.normalize,
         reproducible=args.reproducible,
     )

@@ -40,12 +40,12 @@ __all__ = [
 def _real(value) -> float:
     """``value`` as a float: the one conversion of a caller's single number.
 
-    A real number (numpy scalars, ``Fraction`` and bool included) converts, an
-    int beyond the float range is the infinity of its sign, and anything else
-    (a string, None, a complex, an array) is NaN, which every range check rejects.
+    A real number (numpy scalars, ``Fraction`` and bools of either kind)
+    converts, an int beyond the float range is the infinity of its sign, and
+    anything else (a string, None, a complex, an array) is NaN, which range checks reject.
     """
     try:
-        return float(value) if isinstance(value, numbers.Real) else math.nan
+        return float(value) if isinstance(value, (numbers.Real, np.bool_)) else math.nan
     except OverflowError:  # an int beyond the float range
         return math.inf if value > 0 else -math.inf
 
@@ -219,7 +219,11 @@ def over_under(errors) -> RrocPoint:
 def metrics(errors) -> SummaryMetrics:
     """Summary metrics of an error vector (population variance)."""
     e = as_errors(errors)
-    point = over_under(e)
+    return _metrics(e, over_under(e))
+
+
+def _metrics(e: np.ndarray, point: RrocPoint) -> SummaryMetrics:
+    """``metrics`` of converted errors ``e`` whose ``over_under`` is ``point``."""
     with np.errstate(over="ignore", invalid="ignore"):
         # np.var is the stable two-pass population variance; the mse - bias**2
         # form loses digits when the spread is tiny relative to the bias.

@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from typing import Dict
@@ -22,7 +23,7 @@ from typing import Dict
 import numpy as np
 
 from .core import _floats, _vector, error_vector
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _shown
 
 __all__ = ["Dataset", "load_predictions", "write_predictions"]
 
@@ -39,18 +40,22 @@ _BLOCK_RECORDS = 1024
 
 @dataclass(frozen=True)
 class Dataset:
-    """Actual values plus one prediction vector per model id."""
+    """Actual values plus one prediction vector per model id, a str."""
 
     actual: np.ndarray
     predicted: Dict[str, np.ndarray]
 
     def __post_init__(self):
         a = _vector(self.actual, "actual values")
+        if not isinstance(self.predicted, Mapping):
+            raise DataError(f"predicted must map model ids to predictions, got {_shown(self.predicted)}")
         if not self.predicted:
             raise DataError("dataset needs at least one model")
         object.__setattr__(self, "actual", a)
         cleaned = {}
         for model_id, p in self.predicted.items():
+            if not isinstance(model_id, str):
+                raise DataError(f"model ids must be str, got {_shown(model_id)}")
             p = _floats(p, f"predictions of model {model_id!r}")
             if p.shape != a.shape:
                 raise DataError(f"model {model_id!r} has {p.size} predictions for {a.size} actuals")
@@ -87,6 +92,14 @@ def _model_columns(header) -> Dict[str, str]:
             raise ConfigError(f"duplicate model id {model_id!r} in header")
         columns[model_id] = name
     return columns
+
+
+def _path(path, what: str) -> str:
+    """A caller's file name as a str; an int (an ``open`` fd), bytes or any non-path is a ConfigError."""
+    path = os.fspath(path) if isinstance(path, os.PathLike) else path
+    if not isinstance(path, str):
+        raise ConfigError(f"{what} must be a str or os.PathLike file name, got {_shown(path)}")
+    return path
 
 
 def _read_utf8(path) -> bytes:
@@ -177,6 +190,7 @@ def load_predictions(path) -> Dataset:
     converts in bulk, and only a block holding an error is parsed cell by
     cell, which words the first error by row.
     """
+    path = _path(path, "path")
     raw = _read_utf8(path)
     header, row_number, block, blocks = None, 0, [], []
     try:
@@ -224,7 +238,7 @@ def write_predictions(dataset: Dataset, path) -> None:
     Rows are written in blocks of ``_BLOCK_RECORDS``, each column of a block
     taken as Python floats with one ``tolist``.
     """
-    _write_all([(path, partial(_write_csv, dataset))])
+    _write_all([(_path(path, "path"), partial(_write_csv, dataset))])
 
 
 def _write_csv(dataset: Dataset, fh) -> None:

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import ConvexHull, DominanceMap, convex_hull, dominance_map, isometric_through
-from .core import RrocPoint, _finite, _real, _total_losses, as_errors, metrics, over_under, total_loss
+from .core import RrocPoint, _finite, _metrics, _real, _total_losses, as_errors, over_under, total_loss
 from .curve import RrocCurve, _optimal_vertices, aoc, rroc_curve
-from .data import Dataset, load_predictions
+from .data import Dataset, _path, load_predictions
 from .errors import ConfigError, DataError, _shown
 from .shift import default_alpha_grid
 
@@ -29,7 +29,7 @@ DENSITY_POINTS = 256
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Configuration of one evaluation run."""
+    """Configuration of one evaluation run; each field is stored as the value the report writes."""
 
     input: Optional[str] = None
     alphas: Tuple[float, ...] = ()
@@ -38,7 +38,22 @@ class RunConfig:
     reproducible: bool = False
 
     def __post_init__(self):
-        unknown = [o for o in self.outputs if o not in OUTPUT_KINDS]
+        if self.input is not None:
+            object.__setattr__(self, "input", _path(self.input, "input"))
+        for flag in ("normalize", "reproducible"):
+            if not isinstance(getattr(self, flag), (bool, np.bool_)):
+                raise ConfigError(f"{flag} must be a bool, got {_shown(getattr(self, flag))}")
+            object.__setattr__(self, flag, bool(getattr(self, flag)))
+        for field in ("outputs", "alphas"):
+            values = getattr(self, field)
+            try:
+                if not isinstance(values, str):
+                    object.__setattr__(self, field, tuple(values))
+                    continue
+            except TypeError:  # 0.5, None or a 0-d array
+                pass
+            raise ConfigError(f"{field} must be a sequence, got {_shown(values)}")
+        unknown = [o for o in self.outputs if not (isinstance(o, str) and o in OUTPUT_KINDS)]
         if unknown:
             raise ConfigError(
                 f"unknown outputs {unknown!r} (choose from {', '.join(OUTPUT_KINDS)})"
@@ -50,7 +65,6 @@ class RunConfig:
         if bad:
             # Each rejected value is listed; only one too long to print is cut.
             raise ConfigError(f"alpha values outside [0, 1]: [{', '.join(map(_shown, bad))}]")
-        # Stored as floats, so a Fraction or a numpy scalar writes as the equal float.
         object.__setattr__(self, "alphas", alphas)
 
 
@@ -327,8 +341,8 @@ def _analyze_model(
 ) -> Tuple[dict, RrocPoint, RrocCurve]:
     """The report entry of one model, with its point and curve."""
     wants = set(config.outputs)
-    summary = asdict(metrics(e))
     point = over_under(e)
+    summary = asdict(_metrics(e, point))
     curve = rroc_curve(e, model_id=model_id)
     area = aoc(curve)
     scale = float(e.size) if config.normalize else 1.0

@@ -192,8 +192,7 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
     y_min = min(min(ys), -1e-9) * CLIP_FACTOR
     frame = _Frame(0.0, x_max, y_min, 0.0, y_offset)
 
-    normalized = bool(report.config.get("normalize"))
-    suffix = " / n" if normalized else ""
+    suffix = " / n" if report.config["normalize"] else ""
     _axes(frame, f"OVER{suffix} (total over-estimation)", f"UNDER{suffix} (total under-estimation)", out)
 
     # Diagonal OVER - UNDER = 0.

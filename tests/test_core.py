@@ -222,8 +222,9 @@ class TestOperatingCondition:
         with pytest.raises(DataError, match="slope must be nonnegative"):
             OperatingCondition.from_slope(slope)
 
-    @pytest.mark.parametrize("alpha", [0.5, np.float32(0.5), np.float64(0.5), Fraction(1, 2), np.int64(1), 0],
-                             ids=["float", "float32", "float64", "Fraction", "int64", "int"])
+    @pytest.mark.parametrize("alpha", [0.5, np.float32(0.5), np.float64(0.5), Fraction(1, 2), np.int64(1), 0,
+                                       np.True_],
+                             ids=["float", "float32", "float64", "Fraction", "int64", "int", "np.True_"])
     def test_any_real_alpha_is_stored_as_float(self, alpha):
         oc = OperatingCondition(alpha)
         assert type(oc.alpha) is float and oc.alpha == float(alpha)
@@ -291,10 +292,10 @@ def test_hostile_single_number_is_a_data_error_with_a_short_message(call, errors
     assert len(str(info.value)) < 120, str(info.value)
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), np.int64(2), True],
-                         ids=["Fraction", "float32", "int64", "bool"])
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), np.int64(2), True, np.True_],
+                         ids=["Fraction", "float32", "int64", "bool", "np.True_"])
 def test_real_coordinate_is_stored_as_the_equal_float(value):
-    point = RrocPoint(value, -value)
+    point = RrocPoint(value, 0 - value)  # numpy has no unary minus for a bool
     assert type(point.over) is float and type(point.under) is float
     assert (point.over, point.under) == (float(value), -float(value))
 

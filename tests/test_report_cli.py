@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from rroc import DataError, EvaluationReport, RrocCurve, RunConfig, error_density, render_svg, rroc_curve, run
 from rroc.cli import main
 from rroc.curve import normalized_curve
-from rroc.data import Dataset
+from rroc.data import Dataset, load_predictions, write_predictions
 from rroc.errors import ConfigError
 from rroc.report import OUTPUT_KINDS
 from rroc.synth import MODEL_KINDS, generate_synthetic
@@ -128,6 +130,23 @@ class TestRunPipeline:
         report = decoded(analyze(predictions_csv, outputs=("points", "curves", "hull", "dominance")))
         assert len(calls) == 1
         assert report.hull["points"] and report.dominance
+
+    def test_errors_summed_once_per_model(self, predictions_csv, monkeypatch):
+        import rroc.core
+        import rroc.report
+
+        calls = []
+        original = rroc.core.over_under
+
+        def counting(errors):
+            calls.append(len(errors))
+            return original(errors)
+
+        # ``metrics`` reads the name from rroc.core, the report from its own namespace.
+        monkeypatch.setattr(rroc.core, "over_under", counting)
+        monkeypatch.setattr(rroc.report, "over_under", counting)
+        analyze(predictions_csv, outputs=OUTPUT_KINDS, alphas=(0.8,))
+        assert calls == [10, 10, 10]
 
     def test_distinct_vertices_found_once_per_model(self, predictions_csv, monkeypatch):
         import rroc.curve
@@ -272,6 +291,49 @@ class TestRunPipeline:
             return run(RunConfig(alphas=(0.2, a), reproducible=True), dataset).to_json()
 
         assert report(alpha) == report(equal)
+
+
+# A run's inputs are converted once, when RunConfig and Dataset are built: a
+# value the report could not write, or a file name that is not one, is a
+# package error naming the field, never a late TypeError or a read of stdin.
+@pytest.mark.parametrize("call, error, field", [
+    (lambda: RunConfig(input=0), ConfigError, "input"),
+    (lambda: RunConfig(input=b"in.csv"), ConfigError, "input"),
+    (lambda: load_predictions(0), ConfigError, "path"),
+    (lambda: write_predictions(Dataset([0.0], {"m": [1.0]}), 0), ConfigError, "path"),
+    (lambda: RunConfig(normalize=1), ConfigError, "normalize"),
+    (lambda: RunConfig(reproducible="yes"), ConfigError, "reproducible"),
+    (lambda: RunConfig(alphas=0.5), ConfigError, "alphas"),
+    (lambda: RunConfig(alphas=None), ConfigError, "alphas"),
+    (lambda: RunConfig(alphas=np.array(0.5)), ConfigError, "alphas"),
+    (lambda: RunConfig(alphas="0.5"), ConfigError, "alphas"),
+    (lambda: RunConfig(outputs="curves"), ConfigError, "outputs"),
+    (lambda: Dataset(np.zeros(2), {1: [1.0, -1.0]}), DataError, "model id"),
+    (lambda: Dataset(np.zeros(2), {None: [1.0, -1.0]}), DataError, "model id"),
+    (lambda: Dataset(np.zeros(2), {(1, 2): [1.0, -1.0]}), DataError, "model id"),
+    (lambda: Dataset(np.zeros(1), [[1.0]]), DataError, "predicted"),
+], ids=["input-int", "input-bytes", "load_predictions-int", "write_predictions-int", "normalize-int",
+        "reproducible-str", "alphas-float", "alphas-None", "alphas-0d-array", "alphas-str", "outputs-str",
+        "model-id-int", "model-id-None", "model-id-tuple", "predicted-list"])
+def test_hostile_run_input_is_a_package_error_naming_the_field(call, error, field, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a writer taking 0 as a file name would stage it here
+    with pytest.raises(error) as info:
+        call()
+    assert field in str(info.value) and len(str(info.value)) < 120, str(info.value)
+    os.fstat(0)  # stdin was neither read nor closed
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flag", [np.True_, np.False_], ids=["np.True_", "np.False_"])
+def test_converted_run_inputs_write_the_plain_report(predictions_csv, flag):
+    plain = RunConfig(input=str(predictions_csv), alphas=(0.2, 0.8), outputs=OUTPUT_KINDS,
+                      normalize=bool(flag), reproducible=True)
+    given = RunConfig(input=Path(predictions_csv), alphas=np.array([0.2, 0.8]), outputs=list(OUTPUT_KINDS),
+                      normalize=flag, reproducible=np.True_)
+    assert given == plain
+    reports = [run(config) for config in (plain, given)]
+    assert reports[0].to_json() == reports[1].to_json()
+    assert render_svg(reports[0]) == render_svg(reports[1])
 
 
 def reference_json(report):
@@ -441,6 +503,51 @@ class TestJsonWriter:
         model = json.dumps(h.model_ids[h.model_rank[-1]])
         zero = repr(float(under[-1]) / report.axis_scale)
         assert hull_text.endswith(f'"under":{zero},"model":{model},"vertex_index":{h.vertex_index[-1]}}}]}},')
+
+
+def dyadic_dataset(seed=1, n=4096):
+    """n examples whose actual values and errors are multiples of 1/64, drawn by the standard library.
+
+    Every sum and every division by n is then exact, so the report depends
+    neither on numpy's summation order nor on its random streams. Model m<i>
+    errs within +-(4 + i/8); the errors are tied, so the dedup rule and the
+    hull's vertex indices are exercised.
+    """
+    rng = random.Random(seed)
+    actual = [rng.randrange(-256, 257) / 64 for _ in range(n)]
+    predicted = {f"m{i}": [a + rng.randrange(-(256 + 8 * i), 257 + 8 * i) / 64 for a in actual]
+                 for i in range(3)}
+    return Dataset(actual, predicted)
+
+
+class TestPinnedDigests:
+    """The sha256 of reproducible JSON and SVG reports, pinned across commits.
+
+    A change meant to move report bytes updates these digests and says which
+    ones changed and why. ``density`` is left out: the last bit of ``np.exp``
+    may vary with numpy's SIMD paths.
+    """
+
+    @pytest.mark.parametrize("config, json_sha, svg_sha", [
+        (dict(),
+         "140878940208eda67d6265f9676ef77f1a553dabc98864f9e40f5363e8a1108e",
+         "d8a478156d1ea27bf85f402c7fddb9ed5f550735607aad589922d32f421acd09"),
+        (dict(normalize=True),
+         "1ba2afe90f14776e328f5a15c30b1ed7c33c3e72ee4db73a6a90e1f88ab3f113",
+         "64b623e7145869f9ee2053147605b0d1743bc28996a46049dfbaf11ea5981bb0"),
+        (dict(outputs=("points", "hull", "dominance", "cost"), alphas=(0.1, 0.5, 0.9)),
+         "32621b7f8495a82c524a8c14dddcd714346ff85b1b1617bf038ca2b8f48afb72",
+         "461ef3c074b63e18f0508110b2cf7ce0529a8ac08cd797f1555a53db77557e70"),
+    ], ids=["default", "normalize", "points-hull-dominance-cost"])
+    def test_report_digests(self, config, json_sha, svg_sha):
+        report = run(RunConfig(reproducible=True, **config), dyadic_dataset())
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == json_sha
+        assert hashlib.sha256(render_svg(report).encode()).hexdigest() == svg_sha
+
+    def test_dyadic_sums_are_exact(self):
+        report = run(RunConfig(outputs=("points",)), dyadic_dataset())
+        for entry in report.models.values():
+            assert entry["aoc"] == entry["metrics"]["variance"] * report.n**2 / 2
 
 
 def vertex_rows(curve, normalize=False):
