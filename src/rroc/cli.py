@@ -74,13 +74,14 @@ def _cmd_analyze(args) -> int:
     )
     _check_targets([path for path in (args.json, args.svg) if path], args.input)
     report = run(config)
-    # Render everything before writing anything: a failed stage must not
-    # leave partial output files behind.
+    # The SVG is rendered before any file is opened; the JSON is written into
+    # its staged file a section at a time. A failed stage leaves no output file.
+    svg = render_svg(report) if args.svg else None
     payloads = []
     if args.json:
-        payloads.append((args.json, methodcaller("write", report.to_json())))
+        payloads.append((args.json, lambda fh: fh.writelines(report._json_pieces())))
     if args.svg:
-        payloads.append((args.svg, methodcaller("write", render_svg(report))))
+        payloads.append((args.svg, methodcaller("write", svg)))
     _write_all(payloads)
     if not payloads:
         sys.stdout.write(report.to_json())

@@ -95,11 +95,15 @@ def _model_columns(header) -> Dict[str, str]:
 
 
 def _path(path, what: str) -> str:
-    """A caller's file name as a str; an int (an ``open`` fd), bytes or any non-path is a ConfigError."""
-    path = os.fspath(path) if isinstance(path, os.PathLike) else path
-    if not isinstance(path, str):
+    """A caller's file name as a str; an int (an ``open`` fd), bytes, any non-path or a
+    path whose ``__fspath__`` gives no str is a ConfigError."""
+    try:
+        name = os.fspath(path)
+    except TypeError:
+        name = None
+    if not isinstance(name, str):
         raise ConfigError(f"{what} must be a str or os.PathLike file name, got {_shown(path)}")
-    return path
+    return name
 
 
 def _read_utf8(path) -> bytes:

@@ -100,62 +100,66 @@ class EvaluationReport:
         return float(self.n) if self.config["normalize"] else 1.0
 
     def to_json(self) -> str:
-        """The report as compact, strict JSON.
+        """The report as compact, strict JSON: the pieces of ``_json_pieces`` joined.
 
         Keys follow the field order; fields that are None are left out. The
         vertex, hull-point and dominance rows are written from the columns,
         each float as ``repr`` writes it, as ``json`` does; a non-finite value
         raises the ``ValueError`` of ``json.dumps(..., allow_nan=False)``.
 
-        Each text is made once. A hull row naming a curve vertex whose written
-        coordinates it shares bit for bit takes that vertex's texts, the
-        dominance rows take their hull rows' texts, and the int columns read
-        one list of the texts of 0, 1, 2, ...
+        Each float text is made once. A hull row naming a curve vertex whose
+        written coordinates it shares bit for bit takes that vertex's texts,
+        and the dominance rows take their hull rows' texts.
         """
-        return _object(self._json_fields(), end="}\n")
+        return "".join(self._json_pieces())
 
-    def _json_fields(self):
-        """(key, JSON text) of each field; the shared texts are freed once the last is made."""
-        scale = self.axis_scale
-        curves = [entry["curve"] for entry in self.models.values() if "curve" in entry]
+    def _json_pieces(self):
+        """The text of ``to_json`` in order, made as it is reached.
+
+        Each curve, the hull and the dominance regions are one piece, so a
+        writer that takes the pieces one by one holds one section's text at a
+        time; the shared texts are freed once the last piece is made.
+        """
+        scale, normalized = self.axis_scale, self.config["normalize"]
         hull = self.hull if self.hull is not None else getattr(self.dominance, "hull", None)
         hull_texts = None if hull is None else _HullTexts(hull, scale)
-        # A vertex's counts are below its curve's n; a hull row names its vertex by index.
-        tops = [c.n - 1 for c in curves] + ([] if self.hull is None else [self.hull.vertex_index.max(initial=0)])
-        ints = _int_texts(int(max(tops, default=0)))
-        for key, value in vars(self).items():
-            if value is None:
-                continue
-            if key == "models":
-                text = _object((m, _entry_json(m, entry, scale, self.config["normalize"], ints, hull_texts))
-                               for m, entry in value.items())
-            elif key == "hull":
-                level = "curves" if "curves" in self.config["outputs"] else "points"
-                text = _hull_json(value, hull_texts.columns, ints, level)
-            elif key == "dominance":
-                # The dominance points are hull rows: their texts are reused.
-                texts = hull_texts if value.hull is hull else _HullTexts(value.hull, scale)
-                text = _dominance_json(value, texts.columns)
-            else:
-                text = _dumps(value)
-            yield key, text
+
+        def entry(model_id, values):
+            for k, v in values.items():
+                yield k, [_curve_json(model_id, v, scale, normalized, hull_texts) if k == "curve" else _dumps(v)]
+
+        def fields():
+            for key, value in vars(self).items():
+                if value is None:
+                    continue
+                if key == "models":
+                    yield key, _members((m, _members(entry(m, e))) for m, e in value.items())
+                elif key == "hull":
+                    level = "curves" if "curves" in self.config["outputs"] else "points"
+                    yield key, [_hull_json(value, hull_texts.columns, level)]
+                elif key == "dominance":
+                    # The dominance points are hull rows: their texts are reused.
+                    texts = hull_texts if value.hull is hull else _HullTexts(value.hull, scale)
+                    yield key, [_dominance_json(value, texts.columns)]
+                else:
+                    yield key, [_dumps(value)]
+
+        yield from _members(fields())
+        yield "\n"
 
 
 def _dumps(value) -> str:
     return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
-def _object(items, end: str = "}") -> str:
-    """A JSON object from (key, JSON text) pairs, in order.
-
-    One join copies each text once: the report's texts run to megabytes.
-    """
-    pieces = []
-    for key, text in items:
-        pieces += (",", _dumps(key), ":", text)
-    pieces[:1] = ["{"]  # the first comma, or nothing in an empty object
-    pieces.append(end)
-    return "".join(pieces)
+def _members(items):
+    """The pieces of a JSON object from (key, pieces) pairs, each pair taken once the one before is written."""
+    opening = "{"
+    for key, pieces in items:
+        yield f"{opening}{_dumps(key)}:"
+        yield from pieces
+        opening = ","
+    yield "}" if opening == "," else "{}"
 
 
 def _texts(column) -> List[str]:
@@ -170,17 +174,7 @@ def _texts(column) -> List[str]:
     return list(map(repr, column.tolist()))
 
 
-def _int_texts(top: int) -> np.ndarray:
-    """The texts of 0 up to ``top``, to gather from."""
-    return np.array(list(map(str, range(top + 1))), dtype=object)
-
-
-def _entry_json(model_id: str, entry: dict, scale: float, normalized: bool, ints, hull_texts) -> str:
-    return _object((k, _curve_json(model_id, v, scale, normalized, ints, hull_texts) if k == "curve"
-                    else _dumps(v)) for k, v in entry.items())
-
-
-def _curve_json(model_id: str, curve: RrocCurve, scale: float, normalized: bool, ints, hull_texts) -> str:
+def _curve_json(model_id: str, curve: RrocCurve, scale: float, normalized: bool, hull_texts) -> str:
     """A curve's JSON with its coordinates divided by scale.
 
     The distinct vertices are counted on the raw curve, as the hull indexes
@@ -192,8 +186,8 @@ def _curve_json(model_id: str, curve: RrocCurve, scale: float, normalized: bool,
     if hull_texts is not None:
         hull_texts.take(model_id, curve, over, under)
     shift = curve.shift
-    n_over = ints[np.searchsorted(shift, shift, "left")].tolist()
-    n_under = ints[curve.n - np.searchsorted(shift, shift, "right")].tolist()
+    n_over = np.searchsorted(shift, shift, "left").tolist()
+    n_under = (curve.n - np.searchsorted(shift, shift, "right")).tolist()
     rows = ",".join([
         f'{{"over":{o},"under":{u},"shift":{s},"n_over":{a},"n_under":{b}}}'
         for o, u, s, a, b in zip(over, under, _texts(shift), n_over, n_under)
@@ -247,12 +241,10 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-def _hull_json(hull: ConvexHull, texts, ints, level: str) -> str:
-    index = ints[np.maximum(hull.vertex_index, 0)]
-    index[hull.vertex_index < 0] = "null"
+def _hull_json(hull: ConvexHull, texts, level: str) -> str:
     rows = ",".join([
-        f'{{"over":{o},"under":{u},"model":{m},"vertex_index":{k}}}'
-        for o, u, m, k in zip(*texts, index.tolist())
+        f'{{"over":{o},"under":{u},"model":{m},"vertex_index":{k if k >= 0 else "null"}}}'
+        for o, u, m, k in zip(*texts, hull.vertex_index.tolist())
     ])
     return f'{{"level":{_dumps(level)},"points":[{rows}]}}'
 

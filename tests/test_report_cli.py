@@ -293,14 +293,24 @@ class TestRunPipeline:
         assert report(alpha) == report(equal)
 
 
+class IntPath:
+    """An ``os.PathLike`` whose ``__fspath__`` gives an int."""
+
+    def __fspath__(self):
+        return 0
+
+
 # A run's inputs are converted once, when RunConfig and Dataset are built: a
 # value the report could not write, or a file name that is not one, is a
 # package error naming the field, never a late TypeError or a read of stdin.
 @pytest.mark.parametrize("call, error, field", [
     (lambda: RunConfig(input=0), ConfigError, "input"),
     (lambda: RunConfig(input=b"in.csv"), ConfigError, "input"),
+    (lambda: RunConfig(input=IntPath()), ConfigError, "input"),
     (lambda: load_predictions(0), ConfigError, "path"),
+    (lambda: load_predictions(IntPath()), ConfigError, "path"),
     (lambda: write_predictions(Dataset([0.0], {"m": [1.0]}), 0), ConfigError, "path"),
+    (lambda: write_predictions(Dataset([0.0], {"m": [1.0]}), IntPath()), ConfigError, "path"),
     (lambda: RunConfig(normalize=1), ConfigError, "normalize"),
     (lambda: RunConfig(reproducible="yes"), ConfigError, "reproducible"),
     (lambda: RunConfig(alphas=0.5), ConfigError, "alphas"),
@@ -312,7 +322,8 @@ class TestRunPipeline:
     (lambda: Dataset(np.zeros(2), {None: [1.0, -1.0]}), DataError, "model id"),
     (lambda: Dataset(np.zeros(2), {(1, 2): [1.0, -1.0]}), DataError, "model id"),
     (lambda: Dataset(np.zeros(1), [[1.0]]), DataError, "predicted"),
-], ids=["input-int", "input-bytes", "load_predictions-int", "write_predictions-int", "normalize-int",
+], ids=["input-int", "input-bytes", "input-fspath-int", "load_predictions-int", "load_predictions-fspath-int",
+        "write_predictions-int", "write_predictions-fspath-int", "normalize-int",
         "reproducible-str", "alphas-float", "alphas-None", "alphas-0d-array", "alphas-str", "outputs-str",
         "model-id-int", "model-id-None", "model-id-tuple", "predicted-list"])
 def test_hostile_run_input_is_a_package_error_naming_the_field(call, error, field, tmp_path, monkeypatch):
@@ -432,7 +443,12 @@ class TestJsonWriter:
             report = run(config, dataset)
         except DataError:
             reject()  # the density of a subnormal spread overflows
-        assert_same_text(report.to_json(), reference_json(report))
+        text = report.to_json()
+        assert_same_text(text, reference_json(report))
+        # The CLI's sink: the same pieces, written one by one.
+        streamed = io.StringIO()
+        streamed.writelines(report._json_pieces())
+        assert streamed.getvalue() == text
 
     @pytest.mark.parametrize("column", ["hull.under", "dominance.alpha_high"])
     def test_non_finite_column_raises_the_json_error(self, predictions_csv, column):
@@ -539,10 +555,31 @@ class TestPinnedDigests:
          "32621b7f8495a82c524a8c14dddcd714346ff85b1b1617bf038ca2b8f48afb72",
          "461ef3c074b63e18f0508110b2cf7ce0529a8ac08cd797f1555a53db77557e70"),
     ], ids=["default", "normalize", "points-hull-dominance-cost"])
-    def test_report_digests(self, config, json_sha, svg_sha):
+    def test_report_digests(self, config, json_sha, svg_sha, tmp_path, monkeypatch):
+        import rroc.cli as cli_module
+
         report = run(RunConfig(reproducible=True, **config), dyadic_dataset())
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == json_sha
         assert hashlib.sha256(render_svg(report).encode()).hexdigest() == svg_sha
+
+        # The files `rroc analyze` writes for the same config: its run reads
+        # the dataset in place of its input file.
+        def dyadic_run(cli_config):
+            cli_config = replace(cli_config, input=None)
+            assert cli_config == RunConfig(reproducible=True, **config)
+            return run(cli_config, dyadic_dataset())
+
+        monkeypatch.setattr(cli_module, "run", dyadic_run)
+        argv = ["analyze", "--input", str(tmp_path / "in.csv"), "--json", str(tmp_path / "r.json"),
+                "--svg", str(tmp_path / "p.svg"), "--reproducible",
+                "--alpha", ",".join(map(str, config.get("alphas", ())))]
+        if config.get("normalize"):
+            argv.append("--normalize")
+        if "outputs" in config:
+            argv += ["--outputs", ",".join(config["outputs"])]
+        assert main(argv) == 0
+        assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == json_sha
+        assert hashlib.sha256((tmp_path / "p.svg").read_bytes()).hexdigest() == svg_sha
 
     def test_dyadic_sums_are_exact(self):
         report = run(RunConfig(outputs=("points",)), dyadic_dataset())
@@ -1038,6 +1075,78 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("rroc: data error: [Errno 28]")
         assert str(out) in lines[0]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failure", ["full-disk", "out-of-memory"])
+    def test_failed_json_stream_leaves_no_file(self, predictions_csv, tmp_path, monkeypatch, capsys, failure):
+        import errno
+
+        import rroc.cli as cli_module
+        import rroc.report as report_module
+
+        out = tmp_path / "out"
+        out.mkdir()
+        if failure == "full-disk":
+            class FullDisk:
+                """Passes the first piece to the staged file, then fails as a full disk does."""
+
+                def __init__(self, fh):
+                    self.fh, self.calls = fh, 0
+
+                def write(self, text):
+                    self.calls += 1
+                    if self.calls > 1:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    return self.fh.write(text)
+
+                def writelines(self, pieces):
+                    for piece in pieces:
+                        self.write(piece)
+
+            write_all = cli_module._write_all
+            monkeypatch.setattr(cli_module, "_write_all", lambda payloads: write_all(
+                [(path, lambda fh, write=write: write(FullDisk(fh))) for path, write in payloads]))
+        else:
+            staged = []
+
+            def exhausted(*args):
+                # The JSON is being streamed: its staged file is open.
+                staged.extend(p.name for p in out.iterdir())
+                raise MemoryError
+
+            monkeypatch.setattr(report_module, "_dominance_json", exhausted)
+        argv = ["analyze", "--input", str(predictions_csv), "--json", str(out / "r.json"),
+                "--svg", str(out / "p.svg")]
+        assert main(argv) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        if failure == "full-disk":
+            assert lines[0].startswith("rroc: data error: [Errno 28]") and str(out / "r.json") in lines[0]
+        else:
+            assert lines[0].startswith("rroc: data error: out of memory")
+            assert len(staged) == 1 and staged[0].startswith("r.json.") and staged[0].endswith(".tmp")
+        assert list(out.iterdir()) == []
+
+    def test_streamed_json_memory_stays_below_its_length(self, tmp_path, monkeypatch):
+        # The report is built first; then the CLI writes 20,000 rows x 3
+        # curves into its staged file a section at a time, never holding the
+        # whole text.
+        import rroc.cli as cli_module
+
+        rng = np.random.default_rng(7)
+        actual = rng.normal(0.0, 1.0, 20_000)
+        dataset = Dataset(actual, {f"m{i}": actual + rng.normal(0.1 * i, 1 + 0.2 * i, actual.size) for i in range(3)})
+        report = run(RunConfig(reproducible=True), dataset)
+        monkeypatch.setattr(cli_module, "run", lambda config: report)
+        out = tmp_path / "r.json"
+        tracemalloc.start()
+        try:
+            assert main(["analyze", "--input", str(tmp_path / "in.csv"), "--json", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.read_text(encoding="utf-8")
+        assert text == report.to_json()
+        assert peak < 1.6 * len(text), (peak, len(text))
 
     @pytest.mark.parametrize("model", ["random", "actual-plus-noise", "constant-mean"])
     def test_synth_overflow_is_one_data_error_line(self, tmp_path, model):
