@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import ConditionLike, OperatingCondition, RrocPoint, _alpha_of, _total_losses, total_loss
 from .curve import RrocCurve
-from .errors import DataError
+from .errors import DataError, _shown
 
 __all__ = [
     "Isometric",
@@ -182,6 +182,9 @@ def _candidates(inputs: Dict[str, HullInput]):
     Ranks index the sorted model ids. Vertex indices count a curve's distinct
     interior vertices; they are -1 for point inputs.
     """
+    for model_id in inputs:
+        if not isinstance(model_id, str):
+            raise DataError(f"model ids must be str, got {_shown(model_id)}")
     model_ids = sorted(inputs)
     overs, unders, ranks, indices = [], [], [], []
     for rank, model_id in enumerate(model_ids):

@@ -48,12 +48,13 @@ class RrocCurve:
     copied) and made read-only; the extremes (0, -inf) and (inf, 0) are
     implied; ``n`` is the vertex count. The constructor is the one place a
     curve is checked: as along any sweep, every column is finite and never
-    decreases, over starts at 0 or above and under ends at 0 or below.
+    decreases, over starts at 0 or above and under ends at 0 or below. Only
+    ``normalized_curve`` sets ``normalized``.
     """
 
     __slots__ = ("over", "under", "shift", "n", "model_id", "normalized", "_distinct")
 
-    def __init__(self, over, under, shift, *, model_id: Optional[str] = None, normalized: bool = False):
+    def __init__(self, over, under, shift, *, model_id: Optional[str] = None):
         over, under, shift = columns = [_floats(c, f"curve of {model_id!r}") for c in (over, under, shift)]
         if any(c.ndim != 1 or c.size != over.size for c in columns):
             raise DataError("curve columns must be 1-D and of one length")
@@ -65,7 +66,7 @@ class RrocCurve:
             setattr(self, name, column)
         self.n = over.size
         self.model_id = model_id
-        self.normalized = normalized
+        self.normalized = False
         self._distinct = None
 
     @property
@@ -317,10 +318,14 @@ def normalized_curve(curve: RrocCurve) -> RrocCurve:
 
     Makes curves of different dataset sizes comparable; the normalized AOC is
     ``variance / 2``. Shifts stay untouched, and so do the distinct vertices:
-    the copy takes the source's mask.
+    the copy takes the source's mask. It is flagged ``normalized``; a curve
+    already normalized is a DataError, never divided twice.
     """
+    if curve.normalized:
+        raise DataError(f"curve of {curve.model_id!r} is already normalized")
     n = curve.n
-    out = RrocCurve(curve.over / n, curve.under / n, curve.shift, model_id=curve.model_id, normalized=True)
+    out = RrocCurve(curve.over / n, curve.under / n, curve.shift, model_id=curve.model_id)
+    out.normalized = True
     out._distinct = curve._distinct_mask()
     return out
 

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .analysis import ConvexHull, DominanceMap, convex_hull, dominance_map, isometric_through
+from .analysis import ConvexHull, DominanceMap, best_point_for_alpha, convex_hull, dominance_map, isometric_through
 from .core import RrocPoint, _finite, _metrics, _real, _total_losses, as_errors, over_under, total_loss
 from .curve import RrocCurve, _optimal_vertices, aoc, rroc_curve
 from .data import Dataset, _path, load_predictions
@@ -76,7 +76,7 @@ class EvaluationReport:
     entry is the raw ``RrocCurve`` the hull was built from, ``hull`` is the
     ``ConvexHull`` and ``dominance`` the ``DominanceMap``. All three stay on
     the raw scale; ``axis_scale`` divides them when the report is written or
-    drawn.
+    drawn. Every other stored value is already on the report's axes.
 
     Serializes losslessly to compact, strict schema-v1 JSON: no NaN/Infinity
     tokens are ever emitted. Curves carry their interior vertices only and
@@ -394,17 +394,18 @@ def run(config: RunConfig, dataset: Optional[Dataset] = None) -> EvaluationRepor
 
     alpha_queries = None
     if config.alphas:
+        # On the report's axes, in sorted-id order so that a final tie goes to the smaller id.
+        scale = float(dataset.n) if config.normalize else 1.0
+        shown = {m: RrocPoint(points[m].over / scale, points[m].under / scale) for m in sorted(model_ids)}
         alpha_queries = []
         for a in config.alphas:
-            losses = {m: total_loss(points[m], a) for m in model_ids}
-            # Lower loss wins, then lower OVER, then lower |UNDER|, then the smaller id.
-            best_id = min(model_ids, key=lambda m: (losses[m], points[m].over, -points[m].under, m))
-            iso = isometric_through(points[best_id], a)
+            best = best_point_for_alpha(shown.values(), a)[0]
+            iso = isometric_through(best, a)
             alpha_queries.append(
                 {
                     "alpha": a,
-                    "losses": losses,
-                    "best": best_id,
+                    "losses": {m: total_loss(shown[m], a) for m in model_ids},
+                    "best": next(m for m, p in shown.items() if p is best),
                     "isometric": {
                         "slope": iso.slope if np.isfinite(iso.slope) else None,
                         "intercept": iso.intercept,

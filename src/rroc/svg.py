@@ -200,17 +200,15 @@ def _rroc_panel(report: EvaluationReport, y_offset: int, out: List[str]) -> None
     if seg:
         out.append(frame.polyline(seg, stroke="#999", stroke_dasharray="6,4", class_="diagonal"))
 
-    # Isometrics of the queried operating conditions, behind the data. Levels
-    # and intercepts are stored on the raw scale; dividing both axes by n
-    # keeps slopes and divides intercepts by n.
+    # Isometrics of the queried operating conditions, behind the data.
     for q in report.alpha_queries or []:
         iso = q["isometric"]
         if iso["slope"] is None:
-            x = q["losses"][q["best"]] / 2.0 / n_scale
+            x = iso["level"] / 2.0
             if 0 <= x <= frame.x1:
                 out.append(frame.polyline([(x, frame.y0), (x, 0.0)], stroke="#cccccc", class_="isometric"))
         else:
-            seg = _clip_line(iso["slope"], iso["intercept"] / n_scale, frame)
+            seg = _clip_line(iso["slope"], iso["intercept"], frame)
             if seg:
                 out.append(frame.polyline(seg, stroke="#cccccc", class_="isometric"))
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rroc import (
     aoc_brute_force,
     convex_hull,
     default_shift_grid,
+    error_vector,
     is_convex,
     normalized_curve,
     over_under,
@@ -206,6 +208,17 @@ class TestDistinctMask:
         assert curve.distinct_vertices().tolist() == [0, 2, 3]
         assert calls == [4]
 
+    def test_decimal_data_keep_one_vertex_per_true_error(self):
+        # One-decimal values in the hundreds: the 11 true errors -0.5..0.5
+        # come out of the subtraction as 43 distinct floats, apart by float
+        # noise at the scale of |actual|, not of |error|.
+        rng = random.Random(1)
+        actual = [round(rng.uniform(100, 1000), 1) for _ in range(2000)]
+        predicted = [round(a + rng.randint(-5, 5) / 10, 1) for a in actual]
+        e = error_vector(predicted, actual)
+        assert np.unique(e).size == 43
+        assert rroc_curve(e).distinct_vertices().size == 11
+
 
 class TestSegmentGeometry:
     def test_slope_ladder_n10(self):
@@ -367,6 +380,12 @@ class TestNormalizedCurve:
         norm = normalized_curve(curve)
         assert norm.distinct_vertices().tolist() == curve.distinct_vertices().tolist() == [0, 2, 3]
         assert len(calls) == 1 and calls[0] is curve.over
+
+    def test_a_normalized_curve_is_not_divided_again(self):
+        curve = normalized_curve(rroc_curve([3, 1, -2, -4]))
+        assert [c.tolist() for c in over_under_at(curve, [0.5])] == [[1.25], [-1.25]]
+        with pytest.raises(DataError, match="already normalized"):
+            normalized_curve(curve)
 
 
 class TestConvexity:

@@ -24,7 +24,8 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from rroc import DataError, EvaluationReport, RrocCurve, RunConfig, error_density, render_svg, rroc_curve, run
+from rroc import (DataError, EvaluationReport, RrocCurve, RrocPoint, RunConfig, convex_hull, dominance_map,
+                  error_density, render_svg, rroc_curve, run)
 from rroc.cli import main
 from rroc.curve import normalized_curve
 from rroc.data import Dataset, load_predictions, write_predictions
@@ -69,6 +70,15 @@ class TestRunPipeline:
         assert query["best"] == "m3"
         assert query["isometric"]["slope"] == pytest.approx(0.25)
         assert query["isometric"]["intercept"] == pytest.approx(-3.82275, abs=5e-4)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_isometric_passes_through_its_best_point(self, predictions_csv, normalize):
+        # The queries are evaluated on the report's axes, as its points are written.
+        report = decoded(analyze(predictions_csv, normalize=normalize, alphas=(0.2, 0.8)))
+        for query in report.alpha_queries:
+            iso, best = query["isometric"], report.models[query["best"]]["point"]
+            assert iso["level"] == query["losses"][query["best"]]
+            assert iso["slope"] * best["over"] + iso["intercept"] == pytest.approx(best["under"], rel=1e-12)
 
     def test_normalized_coordinates(self, predictions_csv):
         report = decoded(analyze(predictions_csv, normalize=True))
@@ -318,14 +328,17 @@ class IntPath:
     (lambda: RunConfig(alphas=np.array(0.5)), ConfigError, "alphas"),
     (lambda: RunConfig(alphas="0.5"), ConfigError, "alphas"),
     (lambda: RunConfig(outputs="curves"), ConfigError, "outputs"),
-    (lambda: Dataset(np.zeros(2), {1: [1.0, -1.0]}), DataError, "model id"),
+    (lambda: Dataset(np.zeros(2), {1: [1.0, -1.0]}), DataError, "model ids must be str"),
     (lambda: Dataset(np.zeros(2), {None: [1.0, -1.0]}), DataError, "model id"),
     (lambda: Dataset(np.zeros(2), {(1, 2): [1.0, -1.0]}), DataError, "model id"),
     (lambda: Dataset(np.zeros(1), [[1.0]]), DataError, "predicted"),
+    (lambda: convex_hull({1: RrocPoint(1.0, -1.0), 2: RrocPoint(2.0, -0.5)}), DataError, "model ids must be str"),
+    (lambda: dominance_map({1: rroc_curve([1.0]), "b": rroc_curve([2.0])}), DataError, "model ids must be str"),
 ], ids=["input-int", "input-bytes", "input-fspath-int", "load_predictions-int", "load_predictions-fspath-int",
         "write_predictions-int", "write_predictions-fspath-int", "normalize-int",
         "reproducible-str", "alphas-float", "alphas-None", "alphas-0d-array", "alphas-str", "outputs-str",
-        "model-id-int", "model-id-None", "model-id-tuple", "predicted-list"])
+        "model-id-int", "model-id-None", "model-id-tuple", "predicted-list", "convex_hull-int-ids",
+        "dominance_map-mixed-ids"])
 def test_hostile_run_input_is_a_package_error_naming_the_field(call, error, field, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # a writer taking 0 as a file name would stage it here
     with pytest.raises(error) as info:
@@ -554,7 +567,10 @@ class TestPinnedDigests:
         (dict(outputs=("points", "hull", "dominance", "cost"), alphas=(0.1, 0.5, 0.9)),
          "32621b7f8495a82c524a8c14dddcd714346ff85b1b1617bf038ca2b8f48afb72",
          "461ef3c074b63e18f0508110b2cf7ce0529a8ac08cd797f1555a53db77557e70"),
-    ], ids=["default", "normalize", "points-hull-dominance-cost"])
+        (dict(normalize=True, alphas=(0.1, 0.5, 0.9)),
+         "c756704a26ee18ee46e99061fa91095dc9201a2039328dc1a07d4fb43d40c2e9",
+         "4fb4cbddbdaa8880773039cb748183f35e14b55022d5ead862687b88a355ff75"),
+    ], ids=["default", "normalize", "points-hull-dominance-cost", "normalize-alphas"])
     def test_report_digests(self, config, json_sha, svg_sha, tmp_path, monkeypatch):
         import rroc.cli as cli_module
 
